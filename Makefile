@@ -18,16 +18,18 @@ test:
 # gate: every workload runs bare and under each declared agent stack,
 # the syscall signatures must agree modulo the stack's declared delta,
 # the seeded undeclared mutation must be flagged naming the first
-# diverging call, and BENCH_conformance.json must validate.  The
+# diverging call, the inline CPU charge must log the scheduler's Cpu
+# handler timeline, and BENCH_conformance.json must validate.  The
 # `scale` section is the sharding gate:
 # 1/2/4/8 kernel shards over 2048 mixed-syscall processes must balance,
 # reproduce byte-identically, and keep the 1-shard stacked-getpid
 # baseline (DESIGN.md 3.6); BENCH_scale.json must validate.  The
-# `hostspeed` section is the raw-speed gate (DESIGN.md 3.8): fused
-# dispatch must beat the generic walk on depth-4 traps/sec, envelope
-# pooling must keep minor words/trap below the PR 3 wires-only
-# baselines, the fused counters must prove the generic vector is never
-# probed, and BENCH_hostspeed.json must validate.  The `causal` section
+# `hostspeed` section is the raw-speed gate (DESIGN.md 3.8): an
+# interested depth-4 trap must stay under its minor-words ceiling
+# (getpid and mixed lseek+read), envelope pooling must keep minor
+# words/trap below the PR 3 wires-only baselines, the counters must
+# prove every interested trap ran the emulation chain, and
+# BENCH_hostspeed.json must validate.  The `causal` section
 # is the observability gate (DESIGN.md 3.9): fork/signal/pipe edge
 # tables and slices must reproduce byte-identically (incl. cross-shard
 # signal mail over 2 shards), chrome flow events must bind balanced,
@@ -42,8 +44,8 @@ test:
 check: all test lint-globals bench-smoke
 
 # The wall-clock harness alone (ns/trap, traps/sec, GC deltas; writes
-# BENCH_hostspeed.json).  Numbers are machine-dependent; the gates are
-# ratios and counter proofs, so they hold anywhere.
+# BENCH_hostspeed.json).  The ns figures are machine-dependent; the
+# gates are deterministic allocation counts and counter proofs.
 bench-host:
 	dune exec bench/main.exe -- hostspeed
 

@@ -4,8 +4,7 @@
 module Stats = struct
   type snapshot = {
     traps : int;
-    intercepted : int;
-    fused : int;
+    chained : int;
     fast_path : int;
     decodes : int;
     encodes : int;
@@ -19,8 +18,7 @@ module Stats = struct
      work outside any kernel. *)
   type t = {
     mutable c_traps : int;
-    mutable c_intercepted : int;
-    mutable c_fused : int;
+    mutable c_chained : int;
     mutable c_fast_path : int;
     mutable c_decodes : int;
     mutable c_encodes : int;
@@ -29,7 +27,7 @@ module Stats = struct
   }
 
   let create () =
-    { c_traps = 0; c_intercepted = 0; c_fused = 0; c_fast_path = 0;
+    { c_traps = 0; c_chained = 0; c_fast_path = 0;
       c_decodes = 0; c_encodes = 0; c_crossings = 0; c_agent_calls = 0 }
 
   let cur : t ref = ref (create ())
@@ -39,8 +37,7 @@ module Stats = struct
   let snapshot_of c =
     {
       traps = c.c_traps;
-      intercepted = c.c_intercepted;
-      fused = c.c_fused;
+      chained = c.c_chained;
       fast_path = c.c_fast_path;
       decodes = c.c_decodes;
       encodes = c.c_encodes;
@@ -50,8 +47,7 @@ module Stats = struct
 
   let reset_of c =
     c.c_traps <- 0;
-    c.c_intercepted <- 0;
-    c.c_fused <- 0;
+    c.c_chained <- 0;
     c.c_fast_path <- 0;
     c.c_decodes <- 0;
     c.c_encodes <- 0;
@@ -61,8 +57,7 @@ module Stats = struct
   let diff before after =
     {
       traps = after.traps - before.traps;
-      intercepted = after.intercepted - before.intercepted;
-      fused = after.fused - before.fused;
+      chained = after.chained - before.chained;
       fast_path = after.fast_path - before.fast_path;
       decodes = after.decodes - before.decodes;
       encodes = after.encodes - before.encodes;
@@ -72,17 +67,16 @@ module Stats = struct
 
   let pp fmt s =
     Format.fprintf fmt
-      "traps=%d intercepted=%d fused=%d fast_path=%d decodes=%d encodes=%d \
+      "traps=%d chained=%d fast_path=%d decodes=%d encodes=%d \
        crossings=%d agent_calls=%d"
-      s.traps s.intercepted s.fused s.fast_path s.decodes s.encodes
+      s.traps s.chained s.fast_path s.decodes s.encodes
       s.crossings s.agent_calls
 
   let to_json s =
     Obs.Json.Obj
       [
         ("traps", Obs.Json.Int s.traps);
-        ("intercepted", Obs.Json.Int s.intercepted);
-        ("fused", Obs.Json.Int s.fused);
+        ("chained", Obs.Json.Int s.chained);
         ("fast_path", Obs.Json.Int s.fast_path);
         ("decodes", Obs.Json.Int s.decodes);
         ("encodes", Obs.Json.Int s.encodes);
@@ -90,15 +84,10 @@ module Stats = struct
         ("agent_calls", Obs.Json.Int s.agent_calls);
       ]
 
-  let note_trap ~intercepted:hit =
-    let c = !cur in
-    c.c_traps <- c.c_traps + 1;
-    if hit then c.c_intercepted <- c.c_intercepted + 1
-
   let note_trap_chained () =
     let c = !cur in
     c.c_traps <- c.c_traps + 1;
-    c.c_fused <- c.c_fused + 1
+    c.c_chained <- c.c_chained + 1
 
   let note_trap_fast () =
     let c = !cur in

@@ -196,12 +196,10 @@ val set_span : t -> int -> unit
 module Stats : sig
   type snapshot = {
     traps : int;         (** application-level trap entries *)
-    intercepted : int;   (** traps routed through the generic handler
-                             vector (an option probe per trap) *)
-    fused : int;         (** traps routed through a fused closure
-                             chain — the generic vector never probed *)
-    fast_path : int;     (** traps dismissed by the interest bitmap
-                             without probing the handler vector *)
+    chained : int;       (** traps run through an installed handler
+                             in the process's emulation chain *)
+    fast_path : int;     (** traps whose chain slot was empty (or out
+                             of range), sent straight to the kernel *)
     decodes : int;       (** wire → typed materializations *)
     encodes : int;       (** typed → wire materializations *)
     crossings : int;     (** envelope handed down one stack layer *)
@@ -246,23 +244,19 @@ module Stats : sig
 
   val to_json : snapshot -> Obs.Json.t
   (** The ["codec"] block of [Kernel.metrics_json] and [/obs/metrics]
-      — notably the [fast_path] and [fused] counters next to the span
+      — notably the [fast_path] and [chained] counters next to the span
       metrics. *)
 
   (** {2 Attribution hooks} — called by the kernel stubs and the
       toolkit's down path; not meant for agent code. *)
 
-  val note_trap : intercepted:bool -> unit
-
   val note_trap_chained : unit -> unit
-  (** A trap dispatched through a fused closure chain: counted in
-      [traps] and [fused], never in [intercepted] — together with an
-      [intercepted] count of zero this is the proof that the generic
-      vector is never probed on the fused path. *)
+  (** A trap dispatched to an installed chain handler: counted in
+      [traps] and [chained]. *)
 
   val note_trap_fast : unit -> unit
-  (** A trap the interest bitmap dismissed: counted in [traps] and
-      [fast_path], never in [intercepted]. *)
+  (** A trap with no handler installed: counted in [traps] and
+      [fast_path]. *)
 
   val note_crossing : unit -> unit
   val note_agent_call : unit -> unit

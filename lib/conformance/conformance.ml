@@ -172,11 +172,11 @@ type capture = {
    installed, so agent construction syscalls stay out of the
    signature.  Ambient obs state is restored on the way out, exactly
    as [Fault.Campaign.baseline] does. *)
-let capture ?fused (w : workload) stack =
+let capture (w : workload) stack =
   let was_enabled = Obs.enabled () in
   Obs.reset ();
   Obs.enable ();
-  let k = Kernel.create ?fused () in
+  let k = Kernel.create () in
   Workloads.Scribe.register k;
   Workloads.Make_cc.register k;
   Workloads.Kvd.register k;
@@ -275,6 +275,62 @@ let verdict_to_json v =
         | None -> Null
         | Some d -> Signature.divergence_to_json d );
     ]
+
+(* --- the inline CPU charge -------------------------------------------------- *)
+
+(* [Uspace.cpu_work] charges inline when its guards allow and falls
+   back to the scheduler's [Cpu] handler otherwise.  One scenario
+   drives a charge function through three cases, logging each point a
+   difference could show as (what, clock µs, user-time µs) since its
+   start:
+   (a) all guards hold: the clock and user time advance by exactly the
+       charge, and nothing is delivered;
+   (b) an alarm falls due inside the window: the handler runs, and the
+       timer fires at the scheduling point it creates, leaving SIGALRM
+       pending;
+   (c) the pending signal meets an intercepted trap: it is delivered
+       before the emulation handler runs. *)
+let charge_by_handler us =
+  let proc = Kernel.Proc.Cur.get_exn () in
+  List.iter (Kernel.Uspace.deliver_app proc)
+    (Effect.perform (Kernel.Events.Cpu us))
+
+let charge_log charge =
+  let k = Kernel.create () in
+  let now () = Sim.Clock.now_us (Kernel.clock k) in
+  let utime () = (Kernel.Proc.Cur.get_exn ()).Kernel.Proc.utime_us in
+  let log = ref [] and t0 = ref 0 and u0 = ref 0 in
+  let note what = log := (what, now () - !t0, utime () - !u0) :: !log in
+  let status =
+    Kernel.boot k ~name:"charge" (fun () ->
+      ignore
+        (Libc.Unistd.signal Signal.sigalrm
+           (Value.H_fn (fun _ -> note "sigalrm")));
+      Kernel.Uspace.task_set_emulation ~numbers:[ Sysno.sys_getpid ]
+        (Some (fun env -> note "handler"; Kernel.Uspace.htg_trap env));
+      t0 := now ();
+      u0 := utime ();
+      charge 500;
+      note "charged";
+      ignore (Libc.Unistd.alarm 1);
+      charge 2_000_000;
+      note "charged";
+      ignore (Libc.Unistd.getpid ());
+      note "returned";
+      0)
+  in
+  (status, List.rev !log)
+
+(* What both paths must log: the scheduler handler's timeline, in which
+   the 1 s alarm fires after the 2 s charge (and the 50 µs alarm call)
+   and reaches the application 30 µs later, at the intercept charge of
+   the next trap. *)
+let charge_expected =
+  [ ("charged", 500, 500);
+    ("charged", 2_000_550, 2_000_500);
+    ("sigalrm", 2_000_580, 2_000_530);
+    ("handler", 2_000_580, 2_000_530);
+    ("returned", 2_000_642, 2_000_530) ]
 
 (* --- workload helpers ----------------------------------------------------- *)
 

@@ -1,83 +1,49 @@
 open Abi
 
-(* The fused-chain jump target for slots with no captured handler:
-   below the lowest agent sits the kernel. *)
+(* The chain's jump target for slots with no captured handler: below
+   the lowest agent sits the kernel. *)
 let kernel_entry env = Kernel.Uspace.htg_trap env
 
 type t = {
-  mutable prev : (Envelope.t -> Value.res) option array;
-  mutable bitmap : Bitset.t;
-      (* Same invariant as Proc.emulation: bit [n] set iff [prev.(n)]
-         holds a captured handler, so [down] decides "straight to the
-         kernel" with one bit test. *)
-  mutable chain : (Envelope.t -> Value.res) array;
-      (* Fused mirror of [prev], maintained by [capture]: slot [n] is
-         the captured closure itself, or [kernel_entry] when nothing is
-         captured — the fused [down] jumps through it with no option
-         probe (DESIGN.md §3.8). *)
+  chain : (Envelope.t -> Value.res) array;
+      (* Maintained by [capture]: slot [n] is the captured closure
+         itself, or [kernel_entry] when nothing is captured — [down]
+         jumps through it with no option probe (DESIGN.md §3.8). *)
   mutable prev_sig : (int -> unit) option;
 }
 
 let create () =
-  { prev = Array.make (Sysno.max_sysno + 1) None;
-    bitmap = Bitset.create (Sysno.max_sysno + 1);
-    chain = Array.make (Sysno.max_sysno + 1) kernel_entry;
-    prev_sig = None }
+  { chain = Array.make (Sysno.max_sysno + 1) kernel_entry; prev_sig = None }
 
 let capture t ~numbers =
   List.iter
     (fun n ->
-      if n >= 0 && n < Array.length t.prev then begin
-        let h = Kernel.Uspace.task_get_emulation n in
-        t.prev.(n) <- h;
-        t.chain.(n) <- (match h with Some f -> f | None -> kernel_entry);
-        Bitset.assign t.bitmap n (Option.is_some h)
-      end)
+      if n >= 0 && n < Array.length t.chain then
+        t.chain.(n) <-
+          (match Kernel.Uspace.task_get_emulation n with
+           | Some f -> f
+           | None -> kernel_entry))
     numbers;
   t.prev_sig <- Kernel.Uspace.task_get_emulation_signal ()
 
-let consistent t =
-  Bitset.length t.bitmap = Array.length t.prev
-  && Array.length t.chain = Array.length t.prev
-  && (let ok = ref true in
-      Array.iteri
-        (fun i h ->
-          if Bitset.mem t.bitmap i <> (h <> None) then ok := false;
-          (match h with
-           | Some f -> if t.chain.(i) != f then ok := false
-           | None -> if t.chain.(i) != kernel_entry then ok := false))
-        t.prev;
-      !ok)
+let slot t n =
+  if n >= 0 && n < Array.length t.chain then t.chain.(n) else kernel_entry
 
 let captured_handler t n =
-  if n >= 0 && n < Array.length t.prev then t.prev.(n) else None
+  let h = slot t n in
+  if h == kernel_entry then None else Some h
 
 let captured_signal t = t.prev_sig
 
 let down t (env : Envelope.t) =
   Envelope.Stats.note_crossing ();
-  let num = Envelope.number env in
-  if Kernel.Uspace.fused_dispatch () then begin
-    (* Fused path: one pre-linked jump per crossing.  Tracing-off runs
-       also skip the layer-frame closure — [in_layer] with span <= 0 is
-       the identity, so eliding it is exact. *)
-    let target =
-      if num >= 0 && num < Array.length t.chain then t.chain.(num)
-      else kernel_entry
-    in
-    let span = Envelope.span env in
-    if span <= 0 then target env
-    else Obs.in_layer ~span "downlink" (fun () -> target env)
-  end
-  else if not (Bitset.mem t.bitmap num) then
-    (* no captured handler below: skip the vector probe entirely *)
-    Obs.in_layer ~span:(Envelope.span env) "downlink" (fun () ->
-        Kernel.Uspace.htg_trap env)
-  else
-    Obs.in_layer ~span:(Envelope.span env) "downlink" (fun () ->
-        match t.prev.(num) with
-        | Some handler -> handler env
-        | None -> Kernel.Uspace.htg_trap env)
+  (* One pre-linked jump per crossing.  Tracing-off runs also skip the
+     layer-frame closure — [in_layer] with span <= 0 is the identity,
+     so eliding it is exact. *)
+  let target = slot t (Envelope.number env) in
+  let span = Envelope.span env in
+  if span <= 0 then target env
+  else Obs.in_layer ~span "downlink" (fun () -> target env)
 
 (* agent-originated calls ride a pooled envelope: taken from the
    calling process's record pool, released as soon as the lower layers

@@ -6,7 +6,12 @@
     agent's, for stacked configurations like Figure 1-3/1-4 and nested
     transactions).  Calling {!down} routes to that handler, or to the
     kernel via [htg_unix_syscall] when the agent is the lowest one.
-    The incoming-signal path chains the same way. *)
+    The incoming-signal path chains the same way.
+
+    The capture is one chain, shaped like the process's emulation
+    table (DESIGN.md §3.8): slot [n] holds the captured handler itself,
+    or a jump to the kernel when none was installed, so {!down} is one
+    bounds check and one call. *)
 
 type t
 
@@ -20,7 +25,8 @@ val capture : t -> numbers:int list -> unit
 
 val down : t -> Abi.Envelope.t -> Abi.Value.res
 (** Invoke the next-lower system interface instance, handing the same
-    envelope down so its memoized typed view survives the crossing. *)
+    envelope down so its memoized typed view survives the crossing.
+    Numbers outside the table go straight to the kernel. *)
 
 val down_call : t -> Abi.Call.t -> Abi.Value.res
 (** Typed convenience over {!down}: wraps [c] in an envelope whose
@@ -31,7 +37,8 @@ val down_call : t -> Abi.Call.t -> Abi.Value.res
     (DESIGN.md §3.8). *)
 
 val captured_handler : t -> int -> (Abi.Envelope.t -> Abi.Value.res) option
-(** What {!capture} recorded for one number (used by the loader to
+(** What {!capture} recorded for one number — the very closure, or
+    [None] for an empty or out-of-range slot (used by the loader to
     restore state on uninstall). *)
 
 val captured_signal : t -> (int -> unit) option
@@ -41,9 +48,3 @@ val down_signal : t -> int -> unit
     application: the previously installed interposer if any, else the
     application's own handler for that signal (one shared dispatch
     definition, [Kernel.Uspace.deliver_via]). *)
-
-val consistent : t -> bool
-(** Runtime check that the interest bitmap and the fused chain
-    shadowing the captured vector match it slot-for-slot (the chain by
-    physical identity, unset slots pointing at the kernel entry);
-    exercised by the property tests. *)

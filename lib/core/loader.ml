@@ -7,7 +7,7 @@ let effective_interests (agent : #Numeric.numeric_syscall) =
   List.sort_uniq compare (minimum_interests @ agent#interests)
 
 let install (agent : #Numeric.numeric_syscall) ~argv =
-  (* capture the whole current vector: the agent may route any call
+  (* capture the whole current table: the agent may route any call
      down, not only the ones it intercepts *)
   Downlink.capture agent#downlink ~numbers:Sysno.all;
   (* initialise first: init both declares the agent's interests and may
@@ -22,8 +22,8 @@ let install (agent : #Numeric.numeric_syscall) ~argv =
     (Some
        (fun env ->
          (* span <= 0 means tracing is off for this trap, and [in_layer]
-            is then the identity — skip its closure so the fused chain
-            costs one call per level on the hot path *)
+            is then the identity — skip its closure so the chain costs
+            one call per level on the hot path *)
          let span = Abi.Envelope.span env in
          if span <= 0 then agent#syscall env
          else Obs.in_layer ~span name (fun () -> agent#syscall env)));

@@ -42,10 +42,9 @@ class numeric_syscall =
     method init_child = ()
 
     method syscall (env : Envelope.t) : Value.res =
-      (* Per-level dispatch charge.  Under fused dispatch this usually
-         resolves inline (no effect perform) — see the CPU-charge fast
-         path in [Kernel.Uspace]; the virtual cost is identical either
-         way. *)
+      (* Per-level dispatch charge.  This usually resolves inline (no
+         effect perform) — see the CPU charge in [Kernel.Uspace]; the
+         virtual cost is identical either way. *)
       Kernel.Uspace.cpu_work Cost_model.numeric_dispatch_us;
       let num = Envelope.number env in
       if num = Sysno.sys_fork then

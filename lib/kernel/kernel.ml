@@ -224,34 +224,29 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
           | Events.Set_emulation (numbers, handler) ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
-              (* the interest bitmap and the fused chain shadow the
-                 vector slot-for-slot: this handler is the only writer,
-                 so updating all three here keeps both the fast-path
-                 invariant and the chain invariant — the chain slot is
-                 the handler closure itself (no per-trap option match),
-                 or the canonical kernel jump when cleared *)
-              let chained =
+              (* the chain slot is the handler closure itself (no
+                 per-trap option match), or the canonical kernel jump
+                 when cleared *)
+              let slot =
                 match handler with
                 | Some h -> h
                 | None -> Proc.chain_unset
               in
+              let chain = proc.emul.chain in
               List.iter
                 (fun n ->
-                  if n >= 0 && n < Array.length proc.emul.vector then begin
-                    proc.emul.vector.(n) <- handler;
-                    proc.emul.chain.(n) <- chained;
-                    Abi.Bitset.assign proc.emul.bitmap n
-                      (Option.is_some handler)
-                  end)
+                  if n >= 0 && n < Array.length chain then chain.(n) <- slot)
                 numbers;
               enqueue_resume t proc k ())
           | Events.Get_emulation n ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
+              let chain = proc.emul.chain in
               let h =
-                if n >= 0 && n < Array.length proc.emul.vector then
-                  proc.emul.vector.(n)
-                else None
+                if n < 0 || n >= Array.length chain then None
+                else
+                  let h = chain.(n) in
+                  if h == Proc.chain_unset then None else Some h
               in
               enqueue_resume t proc k h)
           | Events.Set_emulation_signal h ->
@@ -423,8 +418,8 @@ let current_exn () =
 
 (* --- creation and boot ------------------------------------------------------ *)
 
-let create ?shard_id ?fused () =
-  let t = Kstate.create ?shard_id ?fused () in
+let create ?shard_id () =
+  let t = Kstate.create ?shard_id () in
   t.hooks <-
     { Kstate.spawn = (fun proc body -> enqueue_start t proc body);
       retry = (fun proc -> retry t proc) };
@@ -576,9 +571,6 @@ let reset_codec_stats (t : t) = Envelope.Stats.reset_of t.codec
 let pool_stats (t : t) = Value.Pool.Stats.snapshot_of t.pool_stats
 let env_pool_stats (t : t) = Envelope.Pool.Stats.snapshot_of t.epool_stats
 
-let fused (t : t) = t.fused_dispatch
-let set_fused (t : t) on = t.fused_dispatch <- on
-
 let metrics (t : t) = Obs.metrics_of t.obs
 
 (* --- host-side cost estimates ------------------------------------------------ *)
@@ -638,7 +630,7 @@ let host_stats_json (h : host_stats) =
 
 (* One document for every runtime statistic of one shard: span/latency
    metrics from its [Obs] engine plus its codec (incl. [fast_path] and
-   [fused]), wire-pool, envelope-pool and host-side counters.
+   [chained]), wire-pool, envelope-pool and host-side counters.
    [/obs/metrics] serves exactly this JSON, so programs inside the
    simulation and hosts outside it read the same numbers. *)
 (* --- watchdogs ---------------------------------------------------------------- *)
@@ -860,8 +852,7 @@ module Cluster = struct
           let x = Envelope.Stats.snapshot_of s.Kstate.codec in
           {
             Envelope.Stats.traps = acc.traps + x.traps;
-            intercepted = acc.intercepted + x.intercepted;
-            fused = acc.fused + x.fused;
+            chained = acc.chained + x.chained;
             fast_path = acc.fast_path + x.fast_path;
             decodes = acc.decodes + x.decodes;
             encodes = acc.encodes + x.encodes;
@@ -870,8 +861,7 @@ module Cluster = struct
           })
         {
           Envelope.Stats.traps = 0;
-          intercepted = 0;
-          fused = 0;
+          chained = 0;
           fast_path = 0;
           decodes = 0;
           encodes = 0;

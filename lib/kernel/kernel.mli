@@ -33,16 +33,13 @@ module Uspace = Uspace
 
 type t = Kstate.t
 
-val create : ?shard_id:int -> ?fused:bool -> unit -> t
+val create : ?shard_id:int -> unit -> t
 (** A fresh shard with its own clock, filesystem, registry, obs engine
     (inheriting the installed engine's {e configuration} — enablement,
     sampling, ring capacity — so observation set up before [create]
     applies to the new kernel) and counters.  The new kernel is
     {!enter}ed, becoming the current shard.  [shard_id] (default 0) is
-    its position in a {!Cluster}.  [fused] (default [true]) selects
-    fused trap dispatch (DESIGN.md §3.8); [~fused:false] keeps the
-    generic option-vector walk — semantically identical (gated by the
-    conformance matrix), only slower on the host. *)
+    its position in a {!Cluster}. *)
 
 (** {1 The current shard}
 
@@ -137,13 +134,6 @@ val env_pool_stats : t -> Abi.Envelope.Pool.Stats.snapshot
     {!pool_stats}.  Also exported as the ["env_pool"] member of
     {!metrics_json}. *)
 
-val fused : t -> bool
-val set_fused : t -> bool -> unit
-(** Select fused vs generic trap dispatch for [t] at run time.  Legal
-    mid-run: the flag only chooses host-speed machinery — the
-    conformance gate checks signatures are byte-identical either
-    way. *)
-
 (** Host-side (wall/GC) cost estimates for one shard since its
     creation, next to the virtual tables: the ["host"] block of
     {!metrics_json} and the [\[host\]] section of
@@ -188,7 +178,7 @@ val watch_verdicts : t -> Obs.Watch.verdict list
 val metrics_json : t -> Obs.Json.t
 (** {!metrics} rendered with syscall names resolved via
     [Abi.Sysno.name], plus ["codec"] ({!codec_stats}, incl.
-    [fast_path] and [fused]), ["wire_pool"] ({!pool_stats}),
+    [fast_path] and [chained]), ["wire_pool"] ({!pool_stats}),
     ["env_pool"] ({!env_pool_stats}), ["host"] ({!host_stats}) and
     ["watchdogs"] ({!watch_verdicts}) blocks — every runtime statistic
     of one shard in one document.  The [/obs/metrics] synthetic file

@@ -43,19 +43,11 @@ type sigstate = {
 }
 
 type emulation = {
-  mutable vector : (Abi.Envelope.t -> Abi.Value.res) option array;
-  mutable bitmap : Abi.Bitset.t;
-      (* Invariant: [Bitset.mem bitmap n] iff [vector.(n) <> None].
-         The trap fast path tests the bit and never touches the vector
-         for uninterested calls. *)
-  mutable chain : (Abi.Envelope.t -> Abi.Value.res) array;
-      (* The fused form of [vector]: slot [n] is the installed handler
-         itself when [vector.(n) = Some h] (physically the same
-         closure), and [chain_unset] — a direct jump to the kernel
-         entry — when it is [None].  Interested traps in fused mode
-         call [chain.(n)] with no option probe or match; recompiled at
-         every write point of [vector] ([Set_emulation], [fork_copy],
-         the fresh emulation an exec installs). *)
+  chain : (Abi.Envelope.t -> Abi.Value.res) array;
+      (* The per-process emulation table: slot [n] is the installed
+         handler, or [chain_unset] — a direct jump to the kernel entry
+         — when none is.  A trap calls [chain.(n)] with no option probe
+         or match; [Set_emulation] is its only writer. *)
   mutable sig_emul : (int -> unit) option;
 }
 
@@ -67,8 +59,7 @@ let chain_kernel_entry : (Abi.Envelope.t -> Abi.Value.res) ref =
   ref (fun _ -> failwith "Proc.chain_kernel_entry: Uspace not initialized")
 
 (* The one canonical "no handler" chain slot.  A top-level function, so
-   [emulation_consistent] can recognize empty slots by physical
-   equality. *)
+   an empty slot is recognized by physical equality. *)
 let chain_unset env = !chain_kernel_entry env
 
 type t = {
@@ -100,26 +91,8 @@ type t = {
 let fd_table_size = 64
 
 let fresh_emulation () =
-  { vector = Array.make (Abi.Sysno.max_sysno + 1) None;
-    bitmap = Abi.Bitset.create (Abi.Sysno.max_sysno + 1);
-    chain = Array.make (Abi.Sysno.max_sysno + 1) chain_unset;
+  { chain = Array.make (Abi.Sysno.max_sysno + 1) chain_unset;
     sig_emul = None }
-
-let emulation_consistent e =
-  Abi.Bitset.length e.bitmap = Array.length e.vector
-  && Array.length e.chain = Array.length e.vector
-  && (let ok = ref true in
-      Array.iteri
-        (fun i h ->
-           if Abi.Bitset.mem e.bitmap i <> (h <> None) then ok := false;
-           (* the fused chain mirrors the vector by physical identity:
-              the installed closure itself, or the canonical empty
-              slot *)
-           (match h with
-            | Some f -> if not (e.chain.(i) == f) then ok := false
-            | None -> if not (e.chain.(i) == chain_unset) then ok := false))
-        e.vector;
-      !ok)
 
 let fresh_sigstate () =
   { handlers = Array.make (Abi.Signal.max_signal + 1) Abi.Value.H_default;
@@ -158,12 +131,8 @@ let fork_copy t ~pid ~name =
     sigs = { handlers = Array.copy t.sigs.handlers;
              mask = t.sigs.mask;
              pending = 0 };
-    emul = { vector = Array.copy t.emul.vector;
-             bitmap = Abi.Bitset.copy t.emul.bitmap;
-             (* the chain recompiles by copy: the child's slots alias
-                the same handler closures its copied vector holds *)
-             chain = Array.copy t.emul.chain;
-             sig_emul = t.emul.sig_emul };
+    (* the child's slots alias the parent's handler closures *)
+    emul = { chain = Array.copy t.emul.chain; sig_emul = t.emul.sig_emul };
     state = Runnable;
     exit_status = 0;
     alarm_at = None;

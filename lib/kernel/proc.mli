@@ -54,20 +54,12 @@ type sigstate = {
     space, and so the agent, goes with the child); cleared by a raw
     [execve]. *)
 type emulation = {
-  mutable vector : (Abi.Envelope.t -> Abi.Value.res) option array;
-  mutable bitmap : Abi.Bitset.t;
-      (** interest bitmap shadowing [vector]: bit [n] set iff
-          [vector.(n)] is [Some _].  Maintained by the kernel's
-          [Set_emulation] handler and {!fork_copy}; the trap fast path
-          tests the bit and skips the vector for uninterested calls. *)
-  mutable chain : (Abi.Envelope.t -> Abi.Value.res) array;
-      (** fused dispatch chain shadowing [vector] (DESIGN.md §3.8):
-          slot [n] holds the installed handler itself when
-          [vector.(n) = Some h], and {!chain_unset} otherwise, so an
-          interested trap in fused mode runs [chain.(n) env] with no
-          array-of-option probe or match.  Recompiled at every vector
-          write point ([Set_emulation], {!fork_copy}, the fresh
-          emulation installed by exec). *)
+  chain : (Abi.Envelope.t -> Abi.Value.res) array;
+      (** the emulation table (DESIGN.md §3.8): slot [n] holds the
+          installed handler itself, or {!chain_unset} when there is
+          none, so a trap runs [chain.(n) env] with no option probe or
+          match.  Written only by the kernel's [Set_emulation] handler;
+          copied by {!fork_copy}, replaced by exec. *)
   mutable sig_emul : (int -> unit) option;
 }
 
@@ -78,8 +70,8 @@ val chain_kernel_entry : (Abi.Envelope.t -> Abi.Value.res) ref
 
 val chain_unset : Abi.Envelope.t -> Abi.Value.res
 (** The canonical empty chain slot: jumps straight to the kernel via
-    {!chain_kernel_entry}.  Its physical identity is how
-    {!emulation_consistent} recognizes a slot with no handler. *)
+    {!chain_kernel_entry}.  A slot has a handler iff it is not
+    physically equal to this. *)
 
 type t = {
   pid : int;
@@ -113,20 +105,13 @@ val fd_table_size : int
 
 val fresh_emulation : unit -> emulation
 
-val emulation_consistent : emulation -> bool
-(** Runtime check of the bitmap/vector and chain/vector invariants:
-    same lengths, bit [n] set exactly when slot [n] holds a handler,
-    and chain slot [n] physically equal to the installed handler (or
-    to {!chain_unset} when there is none).  Exercised by the property
-    tests after arbitrary set/clear/fork sequences. *)
-
 val create :
   pid:int -> ppid:int -> pgrp:int -> name:string -> cred:Vfs.Fs.cred
   -> cwd:int -> t
 
 val fork_copy : t -> pid:int -> name:string -> t
 (** Child copy: shares open files (references bumped by the caller),
-    copies cwd/umask/credentials/signal dispositions/emulation vector;
+    copies cwd/umask/credentials/signal dispositions/emulation table;
     pending signals are not inherited. *)
 
 val fd : t -> int -> File.fd_entry option
@@ -141,7 +126,7 @@ val set_handler : t -> int -> Abi.Value.handler -> unit
 
 (** Access to the currently running process, set by the scheduler
     before resuming a fibre.  The user-space stubs use it to consult
-    the emulation vector without entering the kernel.
+    the emulation table without entering the kernel.
 
     The cell holding the current process is owned by the kernel shard
     (DESIGN.md §3.6): [Kstate.create] allocates one, entering a shard

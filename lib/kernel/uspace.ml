@@ -41,47 +41,36 @@ let to_kernel (proc : Proc.t) (env : Envelope.t) : Value.res =
   deliver proc reply.deliver;
   reply.res
 
-(* The fused-chain jump target for slots with no handler installed:
+(* The chain's jump target for slots with no handler installed:
    Proc sits below this module, so it reaches [to_kernel] through a
    forward reference filled exactly once, here. *)
 let () = Proc.chain_kernel_entry := fun env -> to_kernel (self ()) env
-
-(* Whether the current shard dispatches through the fused chains.
-   Read per trap from the ambient shard handle — the flag lives on
-   [Kstate.t], so flipping it at run time (bench A/B, future hot-swap
-   quiesce points) needs no global. *)
-let fused_dispatch () =
-  match !Kstate.Ambient.current with
-  | Some t -> t.Kstate.fused_dispatch
-  | None -> false
 
 (* Charge [us] of virtual CPU time to [proc] and collect any signals
    that became deliverable, preferably without performing an effect.
 
    The [Events.Cpu] perform captures the whole fibre continuation and
    round-trips through the run queue — by far the dominant *host* cost
-   of an interested trap (one perform per agent dispatch layer).  In
-   fused mode we replicate the scheduler's Cpu handler inline when, and
-   only when, doing so is observationally identical:
+   of an interested trap (one perform per agent dispatch layer).  So we
+   replicate the scheduler's Cpu handler inline when, and only when,
+   doing so is observationally identical:
 
    - no signal is pending, so [collect_deliverable] would return []
      and [pending_terminal] would decide `None — nothing to deliver,
      nobody to kill or stop;
-   - the run queue is empty, so the generic path would re-enqueue this
+   - the run queue is empty, so the perform would re-enqueue this
      continuation and pop it right back — no other fibre's turn is
      being stolen;
    - no timer is due at or before [now + us], so the scheduling point
      the perform would create cannot fire one.
 
    Every guard is a deterministic function of simulation state, so a
-   fused run makes exactly the same scheduling decisions every time
-   (and the same decisions a generic run makes — the conformance gate
-   checks the syscall signatures are byte-identical). *)
+   run makes exactly the same scheduling decisions every time.  When
+   any guard fails, the scheduler's Cpu handler does the work. *)
 let cpu_charge (proc : Proc.t) us : int list =
   match !Kstate.Ambient.current with
   | Some t
-    when t.Kstate.fused_dispatch
-         && proc.sigs.pending = 0
+    when proc.sigs.pending = 0
          && Queue.is_empty t.Kstate.runq
          && Kstate.next_timer_at t > Sim.Clock.now_us t.Kstate.clock + us ->
     proc.utime_us <- proc.utime_us + us;
@@ -93,35 +82,25 @@ let trap_raw (env : Envelope.t) : Value.res =
   let proc = self () in
   proc.syscall_count <- proc.syscall_count + 1;
   let num = Envelope.number env in
-  if not (Bitset.mem proc.emul.bitmap num) then begin
-    (* Fast path: one bit test says no handler is interposed for this
-       number — the option vector is never probed. *)
+  let chain = proc.emul.chain in
+  (* out-of-range numbers (negative, foreign-ABI sized) have no slot:
+     the kernel answers them *)
+  let h =
+    if num >= 0 && num < Array.length chain then chain.(num)
+    else Proc.chain_unset
+  in
+  if h == Proc.chain_unset then begin
+    (* Fast path: nothing interposed for this number. *)
     Envelope.Stats.note_trap_fast ();
     to_kernel proc env
   end
-  else if fused_dispatch () then begin
-    (* Fused path: the chain slot *is* the installed handler (the
-       bitmap/chain invariant guarantees a set bit is in range and
-       pre-linked), so there is no vector probe and no option match —
-       [fused] grows while [intercepted] stays zero, the measured proof
-       that the generic machinery is bypassed. *)
+  else begin
+    (* The slot is the installed handler itself: no option match. *)
     Envelope.Stats.note_trap_chained ();
     (match cpu_charge proc Cost_model.intercept_us with
      | [] -> ()
      | sigs -> deliver proc sigs);
-    proc.emul.chain.(num) env
-  end
-  else begin
-    (* The bit is only ever set for in-range numbers with a handler
-       installed (the bitmap/vector invariant), but stay defensive. *)
-    let handler = proc.emul.vector.(num) in
-    Envelope.Stats.note_trap ~intercepted:(Option.is_some handler);
-    match handler with
-    | Some h ->
-      let sigs = Effect.perform (Events.Cpu Cost_model.intercept_us) in
-      deliver proc sigs;
-      h env
-    | None -> to_kernel proc env
+    h env
   end
 
 (* Open a span around one trap.  The envelope is built *inside* the

@@ -2,10 +2,10 @@
     syscall trap path of a real process.
 
     [trap_wire] is the moral equivalent of the trap instruction: it
-    consults the process's in-address-space emulation vector first
+    consults the process's in-address-space emulation table first
     (installed by {!task_set_emulation}), so an interposition agent
     sees the call before the kernel does.  [htg_unix_syscall] bypasses
-    the vector, letting agent code reach the underlying implementation
+    the table, letting agent code reach the underlying implementation
     of a call it intercepts — the two primitives the paper's toolkit
     builds on.
 
@@ -54,12 +54,6 @@ val cpu_work : int -> unit
 (** Charge local computation to the virtual clock.  Also a signal
     delivery point, like any trap. *)
 
-val fused_dispatch : unit -> bool
-(** Whether the current shard dispatches interested traps through the
-    fused closure chains ([Kstate.fused_dispatch]; false with no shard
-    entered).  The toolkit's downlink consults this to pick its own
-    fused crossing path. *)
-
 (** {1 Signal dispatch}
 
     The single definition of "hand signal [s] to the layer above",
@@ -82,6 +76,9 @@ val task_set_emulation :
     given system call numbers in the calling task. *)
 
 val task_get_emulation : int -> (Abi.Envelope.t -> Abi.Value.res) option
+(** The handler installed for one number — the very closure passed to
+    {!task_set_emulation} — or [None] for an empty or out-of-range
+    slot. *)
 
 val task_set_emulation_signal : (int -> unit) option -> unit
 val task_get_emulation_signal : unit -> (int -> unit) option

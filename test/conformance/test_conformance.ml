@@ -446,6 +446,21 @@ let test_agent_deltas_declared () =
        (Agents.Record_replay.create_replayer ~journal:""
          :> Toolkit.Numeric.numeric_syscall))
 
+(* --- the inline CPU charge --------------------------------------------------- *)
+
+let charge_log =
+  Alcotest.(pair int (list (triple string int int)))
+
+let test_charge_inline_matches_handler () =
+  (* (a) all guards hold, (b) a timer due inside the window, (c) a
+     pending signal at an intercepted trap: the inline charge and the
+     scheduler's Cpu handler produce one timeline, the recorded one *)
+  let inline = Conformance.charge_log Kernel.Uspace.cpu_work in
+  let handler = Conformance.charge_log Conformance.charge_by_handler in
+  Alcotest.check charge_log "inline = Cpu handler" handler inline;
+  Alcotest.check charge_log "recorded timeline"
+    (0, Conformance.charge_expected) inline
+
 let () =
   Alcotest.run "conformance"
     [
@@ -486,6 +501,8 @@ let () =
           Alcotest.test_case "stack specs" `Quick test_of_spec;
           Alcotest.test_case "agents declare their deltas" `Quick
             test_agent_deltas_declared;
+          Alcotest.test_case "inline CPU charge = Cpu handler" `Quick
+            test_charge_inline_matches_handler;
         ] );
       ( "remap",
         [

@@ -129,10 +129,7 @@ let test_decode_once_under_stack () =
     Envelope.Stats.diff (Option.get !before) (Option.get !after)
   in
   Alcotest.(check int) "traps" iters d.Envelope.Stats.traps;
-  (* fused dispatch (the default): every interested trap goes through
-     the chain, never the generic option vector *)
-  Alcotest.(check int) "all chained" iters d.Envelope.Stats.fused;
-  Alcotest.(check int) "vector never probed" 0 d.Envelope.Stats.intercepted;
+  Alcotest.(check int) "all chained" iters d.Envelope.Stats.chained;
   Alcotest.(check int) "decode-count = 1 per trap" iters
     d.Envelope.Stats.decodes;
   Alcotest.(check int) "encode-count = 1 per trap" iters
@@ -194,13 +191,32 @@ let test_init_child_runs_in_fork () =
   Alcotest.(check int) "init_child once" 1 !children
 
 let test_unknown_syscall_enosys () =
-  let _, status =
-    boot_under_agent (Agents.Time_symbolic.create ()) (fun () ->
-      match Kernel.Uspace.trap_wire { Value.num = 179; args = [||] } with
-      | Error Errno.ENOSYS -> 0
-      | Error _ | Ok _ -> 1)
+  (* numbers with no system call behind them: an unassigned slot, one
+     below and one past the emulation table, and a foreign-ABI-sized
+     number — at depth 0 and under full-interest stacks *)
+  let numbers =
+    [ 179; -1; Sysno.max_sysno + 1; 0x4000_0000 + Sysno.sys_getpid ]
   in
-  check_exit "ENOSYS passes through" 0 status
+  let enosys = function Error Errno.ENOSYS -> 0 | Error _ | Ok _ -> 1 in
+  let probe () =
+    (* through the trap, and down an empty downlink *)
+    let dl = Toolkit.Downlink.create () in
+    List.fold_left
+      (fun bad num ->
+        let w = { Value.num; args = [||] } in
+        bad
+        + enosys (Kernel.Uspace.trap_wire w)
+        + enosys (Toolkit.Downlink.down dl (Envelope.of_wire w)))
+      0 numbers
+  in
+  List.iter
+    (fun (what, run) ->
+      let _, status = run probe in
+      check_exit ("ENOSYS passes through, " ^ what) 0 status)
+    [ ("depth 0", boot);
+      ("symbolic agent",
+       fun body -> boot_under_agent (Agents.Time_symbolic.create ()) body);
+      ("trace", fun body -> boot_under_agent (Agents.Trace.create ()) body) ]
 
 let test_descriptor_factory_transform () =
   let k, status =
@@ -380,7 +396,7 @@ let test_loader_adds_minimum () =
   in
   check_exit "fork under bare numeric agent" 3 status
 
-(* --- interest-bitmap fast path --------------------------------------------- *)
+(* --- emulation-chain fast path ---------------------------------------------- *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -404,8 +420,8 @@ let trap_window ~install iters =
   Option.get !d
 
 let test_fast_path_uninterested () =
-  (* an agent interested only in open: getpid traps must resolve on the
-     bitmap alone, never probing the handler vector *)
+  (* an agent interested only in open: getpid traps find an empty chain
+     slot and go straight to the kernel *)
   let open_only =
     object (self)
       inherit Toolkit.numeric_syscall
@@ -420,74 +436,85 @@ let test_fast_path_uninterested () =
   Alcotest.(check int) "one trap per getpid" iters d.Envelope.Stats.traps;
   Alcotest.(check int) "every trap took the fast path" iters
     d.Envelope.Stats.fast_path;
-  Alcotest.(check int) "no handler probed" 0 d.Envelope.Stats.intercepted
+  Alcotest.(check int) "no handler run" 0 d.Envelope.Stats.chained
 
 let test_fast_path_interested () =
-  (* full interest under fused dispatch (the default): every trap runs
-     the pre-linked chain — [fused] counts them all, and the generic
-     vector is provably never probed ([intercepted] stays 0) *)
+  (* full interest: every trap runs the installed chain handler *)
   let iters = 25 in
   let d =
     trap_window iters ~install:(fun () ->
         Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||])
   in
-  Alcotest.(check int) "every trap chained" iters d.Envelope.Stats.fused;
-  Alcotest.(check int) "vector never probed" 0 d.Envelope.Stats.intercepted;
-  Alcotest.(check int) "fast path never taken" 0 d.Envelope.Stats.fast_path
-
-let test_fast_path_interested_generic () =
-  (* same stack with fused dispatch off: the legacy counters, and no
-     chained traps — the A/B baseline the host-speed bench measures *)
-  let iters = 25 in
-  let d =
-    trap_window iters ~install:(fun () ->
-        Kernel.set_fused (Kernel.current_exn ()) false;
-        Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||])
-  in
-  Alcotest.(check int) "every trap intercepted" iters
-    d.Envelope.Stats.intercepted;
-  Alcotest.(check int) "chain never used" 0 d.Envelope.Stats.fused;
+  Alcotest.(check int) "every trap chained" iters d.Envelope.Stats.chained;
   Alcotest.(check int) "fast path never taken" 0 d.Envelope.Stats.fast_path
 
 (* Property: whatever sequence of emulation updates and downlink
-   captures runs, the interest bitmaps — and the fused chains — mirror
-   their handler vectors slot-for-slot ([emulation_consistent] and
-   [Downlink.consistent] check the chains by physical identity), in
-   this process and in a forked child's copy; and dispatching through
-   the fused machinery returns exactly what the generic walk returns.
-   Ops are (kind, numbers) pairs; numbers run a little past
-   [max_sysno] so the out-of-range-is-ignored paths get exercised
-   too. *)
-let consistency_after_ops ops =
-  let passthrough = Some (fun env -> Kernel.Uspace.htg_trap env) in
+   captures runs, [task_get_emulation n] and
+   [Downlink.captured_handler dl n] return exactly the closure last
+   installed (physically) for [n], or [None] — in this process and in
+   a forked child's copy.  Ops are (kind, numbers) pairs; numbers run a
+   little past both ends of the table so the out-of-range-is-ignored
+   paths get exercised too. *)
+let lo_sysno = -2
+let hi_sysno = Sysno.max_sysno + 4
+
+let chain_after_ops ops =
+  (* a fresh closure per set, so physical equality names the op *)
+  let handler i env =
+    if i < 0 then Error Errno.ENOSYS else Kernel.Uspace.htg_trap env
+  in
+  let in_table n = n >= 0 && n <= Sysno.max_sysno in
+  let installed = Array.make (hi_sysno - lo_sysno + 1) None in
+  let captured = Array.make (hi_sysno - lo_sysno + 1) None in
+  let same a b =
+    match a, b with
+    | None, None -> true
+    | Some f, Some g -> f == g
+    | _ -> false
+  in
   let ok = ref true in
   let _, status =
     boot (fun () ->
       let dl = Toolkit.Downlink.create () in
-      let here () =
-        Kernel.Proc.emulation_consistent
-          (Kernel.Proc.Cur.get_exn ()).Kernel.Proc.emul
-        && Toolkit.Downlink.consistent dl
+      let agree () =
+        let good = ref true in
+        for n = lo_sysno to hi_sysno do
+          let i = n - lo_sysno in
+          if not (same (Kernel.Uspace.task_get_emulation n) installed.(i))
+             || not (same (Toolkit.Downlink.captured_handler dl n)
+                       captured.(i))
+          then good := false
+        done;
+        !good
       in
-      List.iter
-        (fun (kind, numbers) ->
+      List.iteri
+        (fun op (kind, numbers) ->
+          let numbers = List.map (fun n -> n + lo_sysno) numbers in
+          let slots h =
+            List.iter
+              (fun n -> if in_table n then installed.(n - lo_sysno) <- h)
+              numbers
+          in
           match kind mod 3 with
-          | 0 -> Kernel.Uspace.task_set_emulation ~numbers passthrough
-          | 1 -> Kernel.Uspace.task_set_emulation ~numbers None
-          | _ -> Toolkit.Downlink.capture dl ~numbers)
+          | 0 ->
+            let h = Some (handler op) in
+            Kernel.Uspace.task_set_emulation ~numbers h;
+            slots h
+          | 1 ->
+            Kernel.Uspace.task_set_emulation ~numbers None;
+            slots None
+          | _ ->
+            Toolkit.Downlink.capture dl ~numbers;
+            List.iter
+              (fun n ->
+                if in_table n then
+                  captured.(n - lo_sysno) <- installed.(n - lo_sysno))
+              numbers)
         ops;
-      ok := here ();
-      (* differential: fused vs generic dispatch of the same trap *)
-      let k = Kernel.current_exn () in
-      Kernel.set_fused k true;
-      let r_fused = Libc.Unistd.getpid () in
-      Kernel.set_fused k false;
-      let r_generic = Libc.Unistd.getpid () in
-      Kernel.set_fused k true;
-      if r_fused <> r_generic then ok := false;
+      ok := agree ();
       let pid =
         check_ok "fork"
-          (Libc.Unistd.fork ~child:(fun () -> if here () then 0 else 1))
+          (Libc.Unistd.fork ~child:(fun () -> if agree () then 0 else 1))
       in
       let _, st = check_ok "wait" (Libc.Unistd.waitpid pid 0) in
       if Flags.Wait.wexitstatus st <> 0 then ok := false;
@@ -495,13 +522,13 @@ let consistency_after_ops ops =
   in
   exit_code status = 0 && !ok
 
-let test_bitmap_matches_vector =
-  QCheck.Test.make ~name:"bitmap mirrors handler vector (incl. fork)"
+let test_chain_last_installed =
+  QCheck.Test.make ~name:"chain returns last installed (incl. fork)"
     ~count:30
     QCheck.(
       small_list
-        (pair small_nat (small_list (int_bound (Sysno.max_sysno + 4)))))
-    consistency_after_ops
+        (pair small_nat (small_list (int_bound (hi_sysno - lo_sysno)))))
+    chain_after_ops
 
 let () =
   Alcotest.run "toolkit"
@@ -545,6 +572,4 @@ let () =
           test_fast_path_uninterested;
         Alcotest.test_case "interested traps" `Quick
           test_fast_path_interested;
-        Alcotest.test_case "interested traps (generic)" `Quick
-          test_fast_path_interested_generic;
-        qtest test_bitmap_matches_vector ] ]
+        qtest test_chain_last_installed ] ]
