@@ -26,9 +26,9 @@ test:
 # baseline (DESIGN.md 3.6); BENCH_scale.json must validate.  The
 # `hostspeed` section is the raw-speed gate (DESIGN.md 3.8): an
 # interested depth-4 trap must stay under its minor-words ceiling
-# (getpid and mixed lseek+read), envelope pooling must keep minor
-# words/trap below the PR 3 wires-only baselines, the counters must
-# prove every interested trap ran the emulation chain, and
+# (getpid and mixed lseek+read), so must the warm uninterested boundary
+# path (one wire per trap, the envelope record from the pool), the
+# counters must prove every interested trap ran the emulation chain, and
 # BENCH_hostspeed.json must validate.  The `causal` section
 # is the observability gate (DESIGN.md 3.9): fork/signal/pipe edge
 # tables and slices must reproduce byte-identically (incl. cross-shard
@@ -45,7 +45,7 @@ check: all test lint-globals bench-smoke
 
 # The wall-clock harness alone (ns/trap, traps/sec, GC deltas; writes
 # BENCH_hostspeed.json).  The ns figures are machine-dependent; the
-# gates are deterministic allocation counts and counter proofs.
+# gates are deterministic allocation ceilings and counter proofs.
 bench-host:
 	dune exec bench/main.exe -- hostspeed
 

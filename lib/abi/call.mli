@@ -97,12 +97,8 @@ val number : t -> int
 val name : t -> string
 
 val encode : t -> Value.wire
-
-val encode_into : Value.wire -> t -> unit
-(** [encode_into w c] overwrites [w] in place with the wire form of
-    [c], reusing [w]'s argument array when the arity matches.  This is
-    the pooled-wire refill path ([Value.Pool]); [encode] is
-    [encode_into] onto a fresh record. *)
+(** A fresh wire for [c]: one record, plus one argument array unless
+    [c] takes no arguments. *)
 
 val decode : Value.wire -> (t, Errno.t) result
 (** [decode w] fails with [ENOSYS] for an unknown number and [EFAULT]

@@ -28,64 +28,42 @@
     so the invariant is measured (bench ablation 3, test suite) rather
     than asserted.
 
-    {b Lifetime and pooling} (DESIGN.md §3.8): both the wire record
-    ({!Value.Pool}) and the envelope record itself ({!Pool}) can come
-    from per-process free lists.  The contract is the same for both: a
-    record recycles on {!release} only while the trap still owns it
-    exclusively — never once the raw wire was handed out
-    ({!wire}/{!peek_wire} mark the envelope {e exposed}, which also
-    covers rewritten envelopes, since forcing the wire of a dirty
-    envelope is the rewrite), and never once an agent declared a stash
-    with {!retain}.  Recycled records are scrubbed before reuse. *)
+    {b Lifetime and pooling} (DESIGN.md §3.8): the envelope record can
+    come from a per-process free list ({!Pool}).  One rule governs it:
+    an envelope is valid only until its trap returns, and a pooled
+    record goes back to its pool on {!release}.  The wire is immutable
+    and never recycled, so a layer that read it with {!wire} during
+    the trap may keep it. *)
 
 type t
 
 (** {1 Record pooling}
 
     Free lists of envelope records, one per process, feeding
-    {!of_call} and {!at_boundary}.  Same design as {!Value.Pool} for
-    wires: array-backed stack so a warm take/recycle pair allocates
-    nothing, scrub-on-recycle so a stale view or wire can neither leak
-    into the next trap nor pin dead objects against the GC, and a
-    shard-owned counter set ([Kernel.env_pool_stats], the
-    [env_pool] metrics block). *)
+    {!of_call} and {!at_boundary}.  Array-backed stack so a warm
+    take/recycle pair allocates nothing, scrub-on-recycle so a stale
+    view or wire can neither leak into the next trap nor pin dead
+    objects against the GC.  The counters live in the shard's
+    {!Stats} set ([Kernel.env_pool_stats], the [env_pool] metrics
+    block). *)
 module Pool : sig
   type t
 
-  val create : ?capacity:int -> unit -> t
-  (** A fresh, empty pool (default capacity 64 records). *)
+  val capacity : int
+  (** 64 records; returns beyond it are dropped. *)
+
+  val create : unit -> t
+  (** A fresh, empty pool. *)
 
   val size : t -> int
   (** Records currently on the free list. *)
-
-  (** Counters aggregating over every envelope pool of one kernel
-      shard; mirrors {!Value.Pool.Stats}. *)
-  module Stats : sig
-    type snapshot = {
-      hits : int;      (** takes served from the free list *)
-      misses : int;    (** takes that fell back to allocation *)
-      recycled : int;  (** records returned for reuse *)
-      dropped : int;   (** returns rejected by a full pool *)
-    }
-
-    type t
-
-    val create : unit -> t
-    val install : t -> unit
-    val installed : unit -> t
-    val snapshot_of : t -> snapshot
-    val reset_of : t -> unit
-    val diff : snapshot -> snapshot -> snapshot
-    val pp : Format.formatter -> snapshot -> unit
-    val to_json : snapshot -> Obs.Json.t
-  end
 end
 
 (** {1 Construction} *)
 
 val of_wire : Value.wire -> t
-(** Wrap an untyped vector; the typed view is decoded lazily.  Born
-    {e exposed} (the caller holds the wire), so never recycles. *)
+(** Wrap an untyped vector; the typed view is decoded lazily.  Never
+    pooled. *)
 
 val of_call : ?epool:Pool.t -> Call.t -> t
 (** Wrap a typed call; the wire form is encoded lazily (the envelope
@@ -93,37 +71,19 @@ val of_call : ?epool:Pool.t -> Call.t -> t
     new or rewritten calls down the stack.  With [epool], the record
     itself comes off the free list and {!release} returns it. *)
 
-val at_boundary : ?pool:Value.Pool.t -> ?epool:Pool.t -> Call.t -> t
+val at_boundary : ?epool:Pool.t -> Call.t -> t
 (** Encode a typed call for the application trap boundary: the wire
     form is materialized now (and counted), the typed view dropped.
     Used by the C-library stubs, where the ABI contract is untyped.
-
-    With [pool] (the calling process's wire pool), the wire record is
-    taken from the free list when one is available and refilled in
-    place ([Call.encode_into]); with [epool], the envelope record is
-    pooled the same way; {!release} returns both after the trap.
-    Without the pools the envelope never recycles. *)
-
-val retain : t -> unit
-(** Declare that this envelope escapes the trap that carried it: a
-    layer is keeping the record past the trap boundary (a trace sink's
-    deferred formatter, a replay journal, an obs tap).  {!release}
-    then leaves record and wire entirely to the GC, so the stash stays
-    readable forever.  Irreversible. *)
-
-val retained : t -> bool
+    With [epool], the record comes off the free list and {!release}
+    returns it. *)
 
 val release : t -> unit
-(** Declare the trap that carried this envelope complete and recycle
-    what it still owns exclusively: the wire back to the
-    {!Value.Pool} it came from, and the record back to the {!Pool} it
-    came from — but only when the envelope was never handed out raw
-    ({!wire} / {!peek_wire} mark it {e exposed}; that includes every
-    rewritten envelope) and never {!retain}ed.  In every other case
-    this is a no-op and the GC takes over — correctness over reuse.
-    Idempotent; after a successful release the record is scrubbed and
-    must not be touched again (a stale reference reads the {e next}
-    trap's call, which is exactly what {!retain} exists to prevent). *)
+(** Declare the trap that carried this envelope complete and return a
+    pooled record to its pool (scrubbed); a no-op for an unpooled
+    envelope.  Idempotent until the record is taken again; after
+    release the envelope must not be touched (a stale reference reads
+    the {e next} trap's call). *)
 
 (** {1 The two views} *)
 
@@ -147,9 +107,8 @@ val nargs : t -> int option
 val shape : t -> string
 (** The {!Shape} classification of the argument vector, computed from
     whichever view is already materialized ([Shape] guarantees both
-    give the same string).  Unlike {!peek_wire} this does not mark the
-    wire exposed, and it never performs (or counts) codec work — the
-    signature tap must not perturb what it measures.  ["?"] only for
+    give the same string).  It never performs (or counts) codec work —
+    the signature tap must not perturb what it measures.  ["?"] only for
     an undecodable envelope with no wire, which cannot arise on the
     trap path. *)
 
@@ -184,7 +143,8 @@ val set_span : t -> int -> unit
 (** {1 Codec accounting}
 
     Counters over every envelope of one kernel shard, bumped only when
-    real codec work happens (memoized hits are free).  A live counter
+    real codec work happens (memoized hits are free), and the shard's
+    record-pool counters next to them.  A live counter
     set ({!Stats.t}) is owned by its [Kernel.t] and installed whenever
     that shard runs (DESIGN.md §3.6), so two kernels in one process
     account independently; a default set is installed at program start
@@ -225,10 +185,11 @@ module Stats : sig
       [snapshot_of] on the kernel's own set). *)
 
   val reset_of : t -> unit
-  (** Zero a set you own — e.g. a scratch set under test.  The old
-      mid-session hygiene problem is structurally gone: resetting one
-      shard's counters cannot disturb another shard's open measurement
-      window.  Within a shard, still prefer {!diff} over zeroing. *)
+  (** Zero every counter (codec and pool) of a set you own — e.g. a
+      scratch set under test.  The old mid-session hygiene problem is
+      structurally gone: resetting one shard's counters cannot disturb
+      another shard's open measurement window.  Within a shard, still
+      prefer {!diff} over zeroing. *)
 
   val diff : snapshot -> snapshot -> snapshot
   (** [diff before after]: counts in the window between two snapshots.
@@ -246,6 +207,28 @@ module Stats : sig
   (** The ["codec"] block of [Kernel.metrics_json] and [/obs/metrics]
       — notably the [fast_path] and [chained] counters next to the span
       metrics. *)
+
+  (** {2 Record-pool counters}
+
+      Aggregated over every {!Pool} of the shard; same snapshot/diff
+      style as the codec counters. *)
+
+  type pool_snapshot = {
+    hits : int;      (** takes served from a free list *)
+    misses : int;    (** takes that fell back to allocation *)
+    recycled : int;  (** records returned for reuse *)
+    dropped : int;   (** returns rejected by a full pool *)
+  }
+
+  val pool_snapshot_of : t -> pool_snapshot
+  (** [Kernel.env_pool_stats] is [pool_snapshot_of] on the kernel's own
+      set. *)
+
+  val pool_diff : pool_snapshot -> pool_snapshot -> pool_snapshot
+
+  val pool_to_json : pool_snapshot -> Obs.Json.t
+  (** The ["env_pool"] block of [Kernel.metrics_json] and
+      [/obs/metrics]. *)
 
   (** {2 Attribution hooks} — called by the kernel stubs and the
       toolkit's down path; not meant for agent code. *)

@@ -47,7 +47,7 @@ let down t (env : Envelope.t) =
 
 (* agent-originated calls ride a pooled envelope: taken from the
    calling process's record pool, released as soon as the lower layers
-   return (an agent that stashes it must [Envelope.retain] it) *)
+   return (the envelope is valid only until then) *)
 let down_call t c =
   Envelope.Stats.note_agent_call ();
   let epool =

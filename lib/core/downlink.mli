@@ -32,9 +32,8 @@ val down_call : t -> Abi.Call.t -> Abi.Value.res
 (** Typed convenience over {!down}: wraps [c] in an envelope whose
     typed view is authoritative (encoded only if a lower layer demands
     the raw vector).  The envelope record comes from the calling
-    process's pool and is released when the lower layers return — a
-    handler that stashes it must [Abi.Envelope.retain] it
-    (DESIGN.md §3.8). *)
+    process's pool and is released when the lower layers return, so
+    a handler must not keep it past its trap (DESIGN.md §3.8). *)
 
 val captured_handler : t -> int -> (Abi.Envelope.t -> Abi.Value.res) option
 (** What {!capture} recorded for one number — the very closure, or

@@ -377,14 +377,12 @@ let rec sched_loop (t : t) =
 (* --- entering a shard --------------------------------------------------------- *)
 
 (* Install [t]'s shard-owned pieces — obs engine, codec and pool
-   counters, current-process cell, ambient handle — as the ones the
+   counter set, current-process cell, ambient handle — as the ones the
    handle-less code paths (envelope codecs, uspace stubs, agents)
    reach.  The moral equivalent of loading a CPU's task register. *)
 let enter (t : t) =
   Obs.install t.obs;
   Envelope.Stats.install t.codec;
-  Value.Pool.Stats.install t.pool_stats;
-  Envelope.Pool.Stats.install t.epool_stats;
   Proc.Cur.install t.cur;
   Kstate.Ambient.current := Some t
 
@@ -394,8 +392,6 @@ let enter (t : t) =
 let with_shard (t : t) f =
   let prev_obs = Obs.installed () in
   let prev_codec = Envelope.Stats.installed () in
-  let prev_pool = Value.Pool.Stats.installed () in
-  let prev_epool = Envelope.Pool.Stats.installed () in
   let prev_cur = Proc.Cur.installed () in
   let prev_amb = !Kstate.Ambient.current in
   enter t;
@@ -403,8 +399,6 @@ let with_shard (t : t) f =
     ~finally:(fun () ->
       Obs.install prev_obs;
       Envelope.Stats.install prev_codec;
-      Value.Pool.Stats.install prev_pool;
-      Envelope.Pool.Stats.install prev_epool;
       Proc.Cur.install prev_cur;
       Kstate.Ambient.current := prev_amb)
     f
@@ -568,8 +562,7 @@ let register_image (t : t) name image = Registry.register t.registry name image
 let codec_stats (t : t) = Envelope.Stats.snapshot_of t.codec
 let reset_codec_stats (t : t) = Envelope.Stats.reset_of t.codec
 
-let pool_stats (t : t) = Value.Pool.Stats.snapshot_of t.pool_stats
-let env_pool_stats (t : t) = Envelope.Pool.Stats.snapshot_of t.epool_stats
+let env_pool_stats (t : t) = Envelope.Stats.pool_snapshot_of t.codec
 
 let metrics (t : t) = Obs.metrics_of t.obs
 
@@ -589,8 +582,7 @@ type host_stats = {
   h_minor_words_per_trap : float;
   h_promoted_words : float;
   h_major_collections : int;
-  h_wire_pool_hit_rate : float;   (* hits / (hits + misses); 1.0 when idle *)
-  h_env_pool_hit_rate : float;
+  h_env_pool_hit_rate : float;   (* hits / (hits + misses); 1.0 when idle *)
 }
 
 let host_stats (t : t) =
@@ -602,8 +594,7 @@ let host_stats (t : t) =
     let total = hits + misses in
     if total = 0 then 1.0 else float_of_int hits /. float_of_int total
   in
-  let wp = Value.Pool.Stats.snapshot_of t.pool_stats in
-  let ep = Envelope.Pool.Stats.snapshot_of t.epool_stats in
+  let ep = env_pool_stats t in
   { h_traps = traps;
     h_cpu_s = cpu;
     h_ns_per_trap = per traps (cpu *. 1e9);
@@ -612,10 +603,8 @@ let host_stats (t : t) =
     h_promoted_words = q.Gc.promoted_words -. t.host_promoted_words_t0;
     h_major_collections =
       q.Gc.major_collections - t.host_major_collections_t0;
-    h_wire_pool_hit_rate =
-      rate wp.Value.Pool.Stats.hits wp.Value.Pool.Stats.misses;
     h_env_pool_hit_rate =
-      rate ep.Envelope.Pool.Stats.hits ep.Envelope.Pool.Stats.misses }
+      rate ep.Envelope.Stats.hits ep.Envelope.Stats.misses }
 
 let host_stats_json (h : host_stats) =
   Obs.Json.Obj
@@ -625,12 +614,11 @@ let host_stats_json (h : host_stats) =
       ("minor_words_per_trap", Obs.Json.Float h.h_minor_words_per_trap);
       ("promoted_words", Obs.Json.Float h.h_promoted_words);
       ("major_collections", Obs.Json.Int h.h_major_collections);
-      ("wire_pool_hit_rate", Obs.Json.Float h.h_wire_pool_hit_rate);
       ("env_pool_hit_rate", Obs.Json.Float h.h_env_pool_hit_rate) ]
 
 (* One document for every runtime statistic of one shard: span/latency
    metrics from its [Obs] engine plus its codec (incl. [fast_path] and
-   [chained]), wire-pool, envelope-pool and host-side counters.
+   [chained]), envelope-pool and host-side counters.
    [/obs/metrics] serves exactly this JSON, so programs inside the
    simulation and hosts outside it read the same numbers. *)
 (* --- watchdogs ---------------------------------------------------------------- *)
@@ -656,25 +644,20 @@ let watch_input_of (m : Obs.metrics) ~env_pool_misses =
     wi_env_pool_misses = env_pool_misses }
 
 let watch_verdicts (t : t) =
-  let misses =
-    (Envelope.Pool.Stats.snapshot_of t.epool_stats).Envelope.Pool.Stats.misses
-  in
+  let misses = (env_pool_stats t).Envelope.Stats.misses in
   Obs.Watch.eval t.watch (watch_input_of (Obs.metrics_of t.obs) ~env_pool_misses:misses)
 
 let metrics_json (t : t) =
   let base = Obs.metrics_to_json ~name:Abi.Sysno.name (Obs.metrics_of t.obs) in
   let codec = Envelope.Stats.to_json (Envelope.Stats.snapshot_of t.codec) in
-  let pool = Value.Pool.Stats.to_json (Value.Pool.Stats.snapshot_of t.pool_stats) in
-  let epool =
-    Envelope.Pool.Stats.to_json (Envelope.Pool.Stats.snapshot_of t.epool_stats)
-  in
+  let epool = Envelope.Stats.pool_to_json (env_pool_stats t) in
   let host = host_stats_json (host_stats t) in
   let watchdogs = Obs.Watch.verdicts_to_json (watch_verdicts t) in
   match base with
   | Obs.Json.Obj fields ->
     Obs.Json.Obj
       (fields
-      @ [ ("codec", codec); ("wire_pool", pool); ("env_pool", epool);
+      @ [ ("codec", codec); ("env_pool", epool);
           ("host", host); ("watchdogs", watchdogs) ])
   | other -> other
 let drain_obs (t : t) = Obs.drain_of t.obs
@@ -842,7 +825,7 @@ module Cluster = struct
          (Array.map (fun s -> Obs.metrics_of s.Kstate.obs) c.shards))
 
   (* Same document shape as the per-shard [metrics_json], with codec
-     and wire-pool counters summed field-by-field across shards and a
+     and record-pool counters summed field-by-field across shards and a
      [shards] field recording the fan-in. *)
   let metrics_json c =
     let base = Obs.metrics_to_json ~name:Abi.Sysno.name (metrics c) in
@@ -870,31 +853,17 @@ module Cluster = struct
         }
         c.shards
     in
-    let pool =
-      Array.fold_left
-        (fun (acc : Value.Pool.Stats.snapshot) s ->
-          let x = Value.Pool.Stats.snapshot_of s.Kstate.pool_stats in
-          {
-            Value.Pool.Stats.hits = acc.hits + x.hits;
-            misses = acc.misses + x.misses;
-            recycled = acc.recycled + x.recycled;
-            dropped = acc.dropped + x.dropped;
-          })
-        { Value.Pool.Stats.hits = 0; misses = 0; recycled = 0; dropped = 0 }
-        c.shards
-    in
     let epool =
       Array.fold_left
-        (fun (acc : Envelope.Pool.Stats.snapshot) s ->
-          let x = Envelope.Pool.Stats.snapshot_of s.Kstate.epool_stats in
+        (fun (acc : Envelope.Stats.pool_snapshot) s ->
+          let x = Envelope.Stats.pool_snapshot_of s.Kstate.codec in
           {
-            Envelope.Pool.Stats.hits = acc.hits + x.hits;
+            Envelope.Stats.hits = acc.hits + x.hits;
             misses = acc.misses + x.misses;
             recycled = acc.recycled + x.recycled;
             dropped = acc.dropped + x.dropped;
           })
-        { Envelope.Pool.Stats.hits = 0; misses = 0; recycled = 0;
-          dropped = 0 }
+        { Envelope.Stats.hits = 0; misses = 0; recycled = 0; dropped = 0 }
         c.shards
     in
     (* Cluster watchdogs: shard 0's rules (the cluster driver installs
@@ -905,7 +874,7 @@ module Cluster = struct
       Obs.Watch.verdicts_to_json
         (Obs.Watch.eval c.shards.(0).Kstate.watch
            (watch_input_of (metrics c)
-              ~env_pool_misses:epool.Envelope.Pool.Stats.misses))
+              ~env_pool_misses:epool.Envelope.Stats.misses))
     in
     match base with
     | Obs.Json.Obj fields ->
@@ -913,8 +882,7 @@ module Cluster = struct
         (fields
         @ [
             ("codec", Envelope.Stats.to_json codec);
-            ("wire_pool", Value.Pool.Stats.to_json pool);
-            ("env_pool", Envelope.Pool.Stats.to_json epool);
+            ("env_pool", Envelope.Stats.pool_to_json epool);
             ("shards", Obs.Json.Int (Array.length c.shards));
             ("watchdogs", watchdogs);
           ])

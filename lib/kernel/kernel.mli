@@ -3,7 +3,7 @@
 
     A kernel instance — a {e shard} (DESIGN.md §3.6) — owns a virtual
     clock, a filesystem, a console, a process table, an executable
-    {!Registry}, an [Obs] engine, codec and wire-pool counters and a
+    {!Registry}, an [Obs] engine, codec and record-pool counters and a
     current-process cell.  Nothing about a session is module-global:
     two kernels coexist in one OCaml process without observing each
     other, and {!Cluster} drives N of them deterministically.  [boot]
@@ -120,18 +120,14 @@ val codec_stats : t -> Abi.Envelope.Stats.snapshot
     one shard: whichever is entered while its fibres run. *)
 
 val reset_codec_stats : t -> unit
-(** Zero [t]'s codec counters.  Only between sessions of that shard;
-    mid-session code should snapshot/{!Abi.Envelope.Stats.diff}
-    instead, or use {!metrics}. *)
+(** Zero [t]'s codec and envelope-record-pool counters.  Only between
+    sessions of that shard; mid-session code should
+    snapshot/{!Abi.Envelope.Stats.diff} instead, or use {!metrics}. *)
 
-val pool_stats : t -> Abi.Value.Pool.Stats.snapshot
-(** This shard's wire-pool hit/miss counters, same snapshot contract
-    as {!codec_stats}.  Also exported as the ["wire_pool"] member of
-    {!metrics_json}. *)
-
-val env_pool_stats : t -> Abi.Envelope.Pool.Stats.snapshot
-(** This shard's envelope-record-pool counters, same contract as
-    {!pool_stats}.  Also exported as the ["env_pool"] member of
+val env_pool_stats : t -> Abi.Envelope.Stats.pool_snapshot
+(** This shard's envelope-record-pool counters, read from the same
+    counter set as {!codec_stats} and under the same snapshot
+    contract.  Also exported as the ["env_pool"] member of
     {!metrics_json}. *)
 
 (** Host-side (wall/GC) cost estimates for one shard since its
@@ -147,7 +143,6 @@ type host_stats = {
   h_minor_words_per_trap : float;
   h_promoted_words : float;
   h_major_collections : int;
-  h_wire_pool_hit_rate : float;
   h_env_pool_hit_rate : float;
 }
 
@@ -178,9 +173,9 @@ val watch_verdicts : t -> Obs.Watch.verdict list
 val metrics_json : t -> Obs.Json.t
 (** {!metrics} rendered with syscall names resolved via
     [Abi.Sysno.name], plus ["codec"] ({!codec_stats}, incl.
-    [fast_path] and [chained]), ["wire_pool"] ({!pool_stats}),
-    ["env_pool"] ({!env_pool_stats}), ["host"] ({!host_stats}) and
-    ["watchdogs"] ({!watch_verdicts}) blocks — every runtime statistic
+    [fast_path] and [chained]), ["env_pool"] ({!env_pool_stats}),
+    ["host"] ({!host_stats}) and ["watchdogs"] ({!watch_verdicts})
+    blocks — every runtime statistic
     of one shard in one document.  The [/obs/metrics] synthetic file
     serves exactly this JSON inside the simulation. *)
 
@@ -274,7 +269,7 @@ module Cluster : sig
 
   val metrics_json : t -> Obs.Json.t
   (** The aggregate as the same JSON document shape a single kernel's
-      [metrics_json] produces — codec and wire-pool counters summed
+      [metrics_json] produces — codec and record-pool counters summed
       across shards — plus a [shards] field with the fan-in and a
       [watchdogs] block evaluating shard 0's rules over the merged
       metrics. *)

@@ -39,8 +39,6 @@ type t = {
   registry : Registry.t;
   obs : Obs.engine;
   codec : Envelope.Stats.t;
-  pool_stats : Value.Pool.Stats.t;
-  epool_stats : Envelope.Pool.Stats.t;
   cur : Proc.Cur.cell;
   host_cpu_t0 : float;
   host_minor_words_t0 : float;
@@ -88,8 +86,6 @@ let create ?(shard_id = 0) () =
     registry = Registry.create ();
     obs = Obs.engine_like (Obs.installed ());
     codec = Envelope.Stats.create ();
-    pool_stats = Value.Pool.Stats.create ();
-    epool_stats = Envelope.Pool.Stats.create ();
     cur = Proc.Cur.cell ();
     host_cpu_t0 = Sys.time ();
     (* [Gc.minor_words] reads the live allocation pointer;

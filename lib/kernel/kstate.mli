@@ -49,10 +49,8 @@ type t = {
           listening socket releases it *)
   registry : Registry.t;           (** shard-owned executable images *)
   obs : Obs.engine;                (** shard-owned observability engine *)
-  codec : Abi.Envelope.Stats.t;    (** shard-owned codec counters *)
-  pool_stats : Abi.Value.Pool.Stats.t;  (** shard-owned wire-pool counters *)
-  epool_stats : Abi.Envelope.Pool.Stats.t;
-      (** shard-owned envelope-record-pool counters *)
+  codec : Abi.Envelope.Stats.t;
+      (** shard-owned codec and envelope-record-pool counters *)
   cur : Proc.Cur.cell;             (** shard-owned current process *)
   host_cpu_t0 : float;             (** [Sys.time] at shard creation *)
   host_minor_words_t0 : float;     (** GC baselines at shard creation, *)

@@ -79,13 +79,11 @@ type t = {
   mutable syscall_count : int;
   mutable utime_us : int;
   mutable stime_us : int;
-  wire_pool : Abi.Value.Pool.t option;
-      (* Always [Some] in practice; option-typed so the trap stub can
-         pass it to [Envelope.at_boundary ?pool] without wrapping a
-         fresh [Some] on every trap. *)
   env_pool : Abi.Envelope.Pool.t option;
-      (* Free list for the envelope records themselves, same contract
-         and same option-typing rationale as [wire_pool]. *)
+      (* Free list for this process's envelope records.  Always [Some]
+         in practice; option-typed so the trap stub can pass it to
+         [Envelope.at_boundary ?epool] without wrapping a fresh [Some]
+         on every trap. *)
 }
 
 let fd_table_size = 64
@@ -111,7 +109,6 @@ let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
     syscall_count = 0;
     utime_us = 0;
     stime_us = 0;
-    wire_pool = Some (Abi.Value.Pool.create ());
     env_pool = Some (Abi.Envelope.Pool.create ()) }
 
 let fork_copy t ~pid ~name =
@@ -139,9 +136,8 @@ let fork_copy t ~pid ~name =
     syscall_count = 0;
     utime_us = 0;
     stime_us = 0;
-    (* The pools are caches, not address-space state: the child starts
-       with empty ones rather than stealing the parent's records. *)
-    wire_pool = Some (Abi.Value.Pool.create ());
+    (* The pool is a cache, not address-space state: the child starts
+       with an empty one rather than stealing the parent's records. *)
     env_pool = Some (Abi.Envelope.Pool.create ()) }
 
 let fd t n =

@@ -90,15 +90,12 @@ type t = {
   mutable syscall_count : int;  (** total traps, for accounting *)
   mutable utime_us : int;       (** virtual user time (cpu_work, agent work) *)
   mutable stime_us : int;       (** virtual system time (in-kernel call cost) *)
-  wire_pool : Abi.Value.Pool.t option;
-      (** free list feeding [Envelope.at_boundary] for this process's
-          traps; a cache only, so [fork] gives the child a fresh one.
-          Always [Some]; option-typed so the trap stub can hand it to
-          [at_boundary ?pool] without allocating a [Some] per trap *)
   env_pool : Abi.Envelope.Pool.t option;
-      (** free list for the envelope records themselves, feeding
-          [Envelope.at_boundary ?epool] / [of_call ?epool]; same cache
-          semantics and option-typing rationale as [wire_pool] *)
+      (** free list of envelope records feeding
+          [Envelope.at_boundary ?epool] / [of_call ?epool] for this
+          process's traps; a cache only, so [fork] gives the child a
+          fresh one.  Always [Some]; option-typed so the trap stub can
+          hand it on without allocating a [Some] per trap *)
 }
 
 val fd_table_size : int

@@ -122,8 +122,7 @@ let instrumented ~sysno mk_env =
     made := Some env;
     Envelope.set_span env span;
     (* The signature tap piggybacks on the span stream: one event per
-       application-issued trap, shape computed only while capture is on
-       (and without marking the wire exposed — [Envelope.shape]).
+       application-issued trap, shape computed only while capture is on.
        Independent of the sampler, so signature counts stay exact at
        any 1-in-N rate.  A trap that never returns here (exit, exec)
        keeps its pending outcome. *)
@@ -132,8 +131,8 @@ let instrumented ~sysno mk_env =
     trap_raw env
   with
   | res ->
-    (* Normal completion only: on an exception the wire may still be
-       referenced by whoever threw, so it is left to the GC. *)
+    (* Normal completion only: on an exception the envelope may still
+       be referenced by whoever threw, so it is left to the GC. *)
     (match !made with Some env -> Envelope.release env | None -> ());
     (match !sev with
      | Some ev ->
@@ -158,22 +157,20 @@ let trap_wire w =
 
 (* the application/system boundary is untyped: encode here, and let the
    first interested layer below (agent or kernel) do the one decode;
-   both the wire record and the envelope record around it come from
-   (and, when still exclusively owned, return to) the calling
-   process's pools *)
+   the envelope record around the wire comes from (and returns to) the
+   calling process's pool *)
 let syscall c =
   let proc = self () in
-  let pool = proc.Proc.wire_pool in
   let epool = proc.Proc.env_pool in
   if not (Obs.enabled ()) then begin
-    let env = Envelope.at_boundary ?pool ?epool c in
+    let env = Envelope.at_boundary ?epool c in
     let res = trap_raw env in
     Envelope.release env;
     res
   end
   else
     instrumented ~sysno:(Call.number c) (fun () ->
-        Envelope.at_boundary ?pool ?epool c)
+        Envelope.at_boundary ?epool c)
 
 let htg_trap (env : Envelope.t) : Value.res =
   let proc = self () in

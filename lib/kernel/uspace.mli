@@ -34,10 +34,9 @@ val syscall : Abi.Call.t -> Abi.Value.res
     ({!Abi.Envelope.at_boundary}) — the boundary contract is the
     untyped vector, so stacked agents see exactly what a real
     application would have trapped with, and the first interested
-    layer performs the single decode.  The wire record is drawn from
-    the calling process's pool ([Proc.wire_pool]) and recycled when
-    the trap completes with the envelope still exclusively owned
-    ({!Abi.Envelope.release}). *)
+    layer performs the single decode.  The envelope record is drawn
+    from the calling process's pool ([Proc.env_pool]) and returned to
+    it when the trap completes ({!Abi.Envelope.release}). *)
 
 val htg_trap : Abi.Envelope.t -> Abi.Value.res
 (** Call the underlying system interface even if the number is being

@@ -483,134 +483,33 @@ let test_envelope_undecodable_memoized () =
   in
   Alcotest.(check int) "failure decoded once" 1 d.Envelope.Stats.decodes
 
-(* --- wire pool ------------------------------------------------------------- *)
-
-let pool_window f =
-  let stats = Value.Pool.Stats.installed () in
-  let before = Value.Pool.Stats.snapshot_of stats in
-  let r = f () in
-  (r, Value.Pool.Stats.diff before (Value.Pool.Stats.snapshot_of stats))
-
-let test_pool_scrub_on_recycle () =
-  let p = Value.Pool.create ~capacity:4 () in
-  let (w, d) = pool_window (fun () -> Value.Pool.take p) in
-  Alcotest.(check int) "dry take is a miss" 1 d.Value.Pool.Stats.misses;
-  w.Value.num <- Sysno.sys_open;
-  w.Value.args <- [| Value.Str "secret"; Value.Int 0; Value.Int 0o644 |];
-  Value.Pool.recycle p w;
-  Alcotest.(check int) "one wire parked" 1 (Value.Pool.size p);
-  let (w', d) = pool_window (fun () -> Value.Pool.take p) in
-  Alcotest.(check int) "warm take is a hit" 1 d.Value.Pool.Stats.hits;
-  Alcotest.(check int) "warm take never allocates" 0 d.Value.Pool.Stats.misses;
-  Alcotest.(check bool) "same record reused" true (w == w');
-  Alcotest.(check int) "number scrubbed" 0 w'.Value.num;
-  Alcotest.(check bool) "every argument scrubbed to Nil" true
-    (Array.for_all (fun v -> v = Value.Nil) w'.Value.args)
-
-let test_pool_boundary_reuse_no_stale () =
-  (* a pooled wire refilled by a later trap carries only the later
-     call: arity resets and nothing of the old arguments survives *)
-  let p = Value.Pool.create () in
-  let env1 =
-    Envelope.at_boundary ~pool:p (Call.Open ("/tmp/secret", 3, 0o600))
-  in
-  Envelope.release env1;
-  Alcotest.(check int) "un-rewritten trap parks its wire" 1
-    (Value.Pool.size p);
-  let (env2, d) =
-    pool_window (fun () ->
-        Envelope.at_boundary ~pool:p (Call.Unlink "/tmp/other"))
-  in
-  Alcotest.(check int) "refill reused the parked record" 1
-    d.Value.Pool.Stats.hits;
-  let w2 = Envelope.wire env2 in
-  Alcotest.(check int) "number is the new call's" Sysno.sys_unlink
-    w2.Value.num;
-  Alcotest.(check bool) "args are exactly the new call's" true
-    (w2.Value.args = [| Value.Str "/tmp/other" |])
-
-let test_pool_release_ownership () =
-  (* release recycles only while the envelope still owns the wire
-     exclusively *)
-  let p = Value.Pool.create () in
-  let env = Envelope.at_boundary ~pool:p Call.Getpid in
-  ignore (Envelope.wire env); (* an agent saw the raw record *)
-  let ((), d) = pool_window (fun () -> Envelope.release env) in
-  Alcotest.(check int) "exposed wire is not recycled" 0
-    d.Value.Pool.Stats.recycled;
-  Alcotest.(check int) "pool stays empty" 0 (Value.Pool.size p);
-  let env' = Envelope.at_boundary ~pool:p Call.Getpid in
-  let ((), d) =
-    pool_window (fun () ->
-        Envelope.release env';
-        Envelope.release env')
-  in
-  Alcotest.(check int) "double release recycles once" 1
-    d.Value.Pool.Stats.recycled;
-  let ((), d) =
-    pool_window (fun () -> Envelope.release (Envelope.of_call Call.Sync))
-  in
-  Alcotest.(check bool) "release of a typed-born envelope is a no-op" true
-    (d = { Value.Pool.Stats.hits = 0; misses = 0; recycled = 0; dropped = 0 })
-
-let test_pool_release_keeps_typed_view () =
-  (* the internal decode does not expose the wire, so a released
-     envelope both recycles and stays readable through its memoized
-     view *)
-  let p = Value.Pool.create () in
-  let env = Envelope.at_boundary ~pool:p (Call.Close 7) in
-  (match Envelope.call env with
-   | Ok (Call.Close 7) -> ()
-   | _ -> Alcotest.fail "decode failed");
-  let ((), d) = pool_window (fun () -> Envelope.release env) in
-  Alcotest.(check int) "decoded-but-unexposed wire recycles" 1
-    d.Value.Pool.Stats.recycled;
-  Alcotest.(check (option int)) "raw record is gone" None
-    (Option.map (fun (w : Value.wire) -> w.Value.num)
-       (Envelope.peek_wire env));
-  (match Envelope.call env with
-   | Ok (Call.Close 7) -> ()
-   | _ -> Alcotest.fail "typed view lost by release")
-
-let test_pool_capacity_drop () =
-  let p = Value.Pool.create ~capacity:1 () in
-  let w1 = Value.Pool.take p in
-  let w2 = Value.Pool.take p in
-  let ((), d) =
-    pool_window (fun () ->
-        Value.Pool.recycle p w1;
-        Value.Pool.recycle p w2)
-  in
-  Alcotest.(check int) "first return kept" 1 d.Value.Pool.Stats.recycled;
-  Alcotest.(check int) "overflow dropped" 1 d.Value.Pool.Stats.dropped;
-  Alcotest.(check int) "size capped" 1 (Value.Pool.size p)
-
 (* --- envelope record pool --------------------------------------------------- *)
 
 let epool_window f =
-  let stats = Envelope.Pool.Stats.installed () in
-  let before = Envelope.Pool.Stats.snapshot_of stats in
+  let stats = Envelope.Stats.installed () in
+  let before = Envelope.Stats.pool_snapshot_of stats in
   let r = f () in
-  ( r,
-    Envelope.Pool.Stats.diff before
-      (Envelope.Pool.Stats.snapshot_of stats) )
+  (r, Envelope.Stats.pool_diff before (Envelope.Stats.pool_snapshot_of stats))
 
 let test_epool_reuse_and_scrub () =
-  let p = Envelope.Pool.create ~capacity:4 () in
+  let p = Envelope.Pool.create () in
   let (env1, d) =
     epool_window (fun () -> Envelope.of_call ~epool:p (Call.Close 7))
   in
-  Alcotest.(check int) "dry take is a miss" 1 d.Envelope.Pool.Stats.misses;
+  Alcotest.(check int) "dry take is a miss" 1 d.Envelope.Stats.misses;
   let ((), d) = epool_window (fun () -> Envelope.release env1) in
-  Alcotest.(check int) "clean release recycles the record" 1
-    d.Envelope.Pool.Stats.recycled;
+  Alcotest.(check int) "release recycles the record" 1
+    d.Envelope.Stats.recycled;
   Alcotest.(check int) "one record parked" 1 (Envelope.Pool.size p);
+  let ((), d) = epool_window (fun () -> Envelope.release env1) in
+  Alcotest.(check int) "double release recycles once" 0
+    d.Envelope.Stats.recycled;
   let (env2, d) =
     epool_window (fun () -> Envelope.of_call ~epool:p (Call.Unlink "/x"))
   in
-  Alcotest.(check int) "warm take is a hit" 1 d.Envelope.Pool.Stats.hits;
+  Alcotest.(check int) "warm take is a hit" 1 d.Envelope.Stats.hits;
   Alcotest.(check int) "warm take never allocates" 0
-    d.Envelope.Pool.Stats.misses;
+    d.Envelope.Stats.misses;
   Alcotest.(check bool) "same record refilled" true (env1 == env2);
   (* scrubbed before reuse: nothing of the Close survives *)
   Alcotest.(check int) "number is the new call's" Sysno.sys_unlink
@@ -618,92 +517,95 @@ let test_epool_reuse_and_scrub () =
   (match Envelope.call env2 with
    | Ok (Call.Unlink "/x") -> ()
    | _ -> Alcotest.fail "stale view leaked through the free list");
-  Alcotest.(check bool) "no stale wire" true (Envelope.dirty env2)
+  Alcotest.(check bool) "no stale wire" true (Envelope.dirty env2);
+  let ((), d) =
+    epool_window (fun () -> Envelope.release (Envelope.of_call Call.Sync))
+  in
+  Alcotest.(check bool) "release of an unpooled envelope is a no-op" true
+    (d = { Envelope.Stats.hits = 0; misses = 0; recycled = 0; dropped = 0 })
 
-let test_epool_never_recycles_retained () =
+let test_epool_wire_outlives_record () =
+  (* the lifetime rule: the record goes back on release and the next
+     trap refills it, but a wire read during the trap is immutable and
+     never recycled, so whoever kept it still reads its own call *)
   let p = Envelope.Pool.create () in
-  let env = Envelope.of_call ~epool:p (Call.Close 3) in
-  Envelope.retain env;
-  let ((), d) = epool_window (fun () -> Envelope.release env) in
-  Alcotest.(check int) "retained record not recycled" 0
-    d.Envelope.Pool.Stats.recycled;
-  Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
-  (* the whole point of retain: the stash stays readable *)
-  (match Envelope.call env with
-   | Ok (Call.Close 3) -> ()
-   | _ -> Alcotest.fail "retained envelope lost its view")
+  let env1 =
+    Envelope.at_boundary ~epool:p (Call.Open ("/tmp/secret", 3, 0o600))
+  in
+  let w1 = Envelope.wire env1 in
+  Envelope.release env1;
+  let env2 = Envelope.at_boundary ~epool:p (Call.Unlink "/tmp/other") in
+  Alcotest.(check bool) "the next trap refilled the record" true
+    (env1 == env2);
+  Alcotest.(check int) "kept wire keeps its number" Sysno.sys_open
+    w1.Value.num;
+  Alcotest.(check bool) "kept wire keeps its arguments" true
+    (w1.Value.args
+     = [| Value.Str "/tmp/secret"; Value.Int 3; Value.Int 0o600 |]);
+  let w2 = Envelope.wire env2 in
+  Alcotest.(check bool) "the refill carries only the new call" true
+    (w2 != w1 && w2.Value.args = [| Value.Str "/tmp/other" |])
 
-let test_epool_never_recycles_exposed () =
-  (* handing out the raw wire — including the forced encode of a dirty
-     envelope, i.e. a rewrite — blocks record recycling *)
-  let p = Envelope.Pool.create () in
-  let env = Envelope.of_call ~epool:p (Call.Close 9) in
-  ignore (Envelope.wire env);  (* rewrite: dirty envelope forced to wire *)
-  let ((), d) = epool_window (fun () -> Envelope.release env) in
-  Alcotest.(check int) "exposed record not recycled" 0
-    d.Envelope.Pool.Stats.recycled;
-  Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
-  let env' = Envelope.at_boundary ~epool:p Call.Getpid in
-  ignore (Envelope.peek_wire env');
-  let ((), d) = epool_window (fun () -> Envelope.release env') in
-  Alcotest.(check int) "peeked record not recycled" 0
-    d.Envelope.Pool.Stats.recycled
-
-let test_epool_boundary_pairs_with_wire_pool () =
-  (* at_boundary with both pools: one release sends the wire to its
-     pool and the record to its own *)
-  let wp = Value.Pool.create () in
-  let ep = Envelope.Pool.create () in
-  let env = Envelope.at_boundary ~pool:wp ~epool:ep (Call.Close 1) in
-  Envelope.release env;
-  Alcotest.(check int) "wire parked" 1 (Value.Pool.size wp);
-  Alcotest.(check int) "record parked" 1 (Envelope.Pool.size ep)
-
-(* Model property: drive a small pool through random
-   take/action/release cycles and mirror the free list with an
-   integer.  Actions: 0 = clean trap, 1 = retained stash, 2 = rewrite
-   (wire forced on a dirty envelope).  Only clean traps may recycle;
-   the pool never exceeds capacity; counters match the model
-   exactly. *)
+(* Model property: drive a pool through random actions and mirror its
+   free list and counters.  Actions: 0 = clean trap, 1 = rewrite (wire
+   forced on a dirty envelope), 2 = peek (raw wire of a boundary
+   envelope), 3 = burst ([capacity + 1] records outstanding at once,
+   then all released).  Every released record recycles until the pool
+   is full; counters match the model exactly. *)
 let test_epool_model =
   QCheck.Test.make ~name:"envelope pool matches free-list model" ~count:100
-    QCheck.(small_list (int_bound 2))
+    QCheck.(small_list (int_bound 3))
     (fun actions ->
-      let cap = 2 in
-      let p = Envelope.Pool.create ~capacity:cap () in
-      let model_len = ref 0 in
+      let cap = Envelope.Pool.capacity in
+      let p = Envelope.Pool.create () in
+      let len = ref 0 and hits = ref 0 and misses = ref 0 in
+      let recycled = ref 0 and dropped = ref 0 in
       let ok = ref true in
+      let take mk =
+        if !len > 0 then (decr len; incr hits) else incr misses;
+        mk ()
+      in
+      let release env =
+        Envelope.release env;
+        if !len < cap then (incr len; incr recycled) else incr dropped
+      in
       let (_, d) =
         epool_window (fun () ->
             List.iteri
               (fun i action ->
-                let expect_hit = !model_len > 0 in
-                let (env, dt) =
-                  epool_window (fun () ->
-                      Envelope.of_call ~epool:p (Call.Close i))
-                in
-                if expect_hit then begin
-                  if dt.Envelope.Pool.Stats.hits <> 1 then ok := false;
-                  decr model_len
-                end
-                else if dt.Envelope.Pool.Stats.misses <> 1 then ok := false;
-                (* scrub check: the record carries only this trap's call *)
-                (match Envelope.call env with
-                 | Ok (Call.Close j) when j = i -> ()
-                 | _ -> ok := false);
-                (match action with
-                 | 0 -> ()
-                 | 1 -> Envelope.retain env
-                 | _ -> ignore (Envelope.wire env));
-                Envelope.release env;
-                if action = 0 && !model_len < cap then incr model_len)
+                match action with
+                | 3 ->
+                  let held =
+                    List.init (cap + 1) (fun j ->
+                        take (fun () ->
+                            Envelope.of_call ~epool:p (Call.Close j)))
+                  in
+                  List.iter release held
+                | 2 ->
+                  let env =
+                    take (fun () ->
+                        Envelope.at_boundary ~epool:p (Call.Close i))
+                  in
+                  (match Envelope.peek_wire env with
+                   | Some w when w.Value.args = [| Value.Int i |] -> ()
+                   | _ -> ok := false);
+                  release env
+                | _ ->
+                  let env =
+                    take (fun () -> Envelope.of_call ~epool:p (Call.Close i))
+                  in
+                  (* scrub check: the record carries only this trap's call *)
+                  (match Envelope.call env with
+                   | Ok (Call.Close j) when j = i -> ()
+                   | _ -> ok := false);
+                  if action = 1 then ignore (Envelope.wire env);
+                  release env)
               actions)
       in
       !ok
-      && Envelope.Pool.size p = !model_len
-      && d.Envelope.Pool.Stats.recycled
-         + d.Envelope.Pool.Stats.dropped
-         = List.length (List.filter (fun a -> a = 0) actions))
+      && Envelope.Pool.size p = !len
+      && d = { Envelope.Stats.hits = !hits; misses = !misses;
+               recycled = !recycled; dropped = !dropped })
 
 (* --- bitset ---------------------------------------------------------------- *)
 
@@ -828,25 +730,11 @@ let () =
           test_envelope_boundary_drops_view;
         Alcotest.test_case "undecodable memoized" `Quick
           test_envelope_undecodable_memoized ];
-      "pool",
-      [ Alcotest.test_case "scrub on recycle" `Quick
-          test_pool_scrub_on_recycle;
-        Alcotest.test_case "boundary reuse" `Quick
-          test_pool_boundary_reuse_no_stale;
-        Alcotest.test_case "release ownership" `Quick
-          test_pool_release_ownership;
-        Alcotest.test_case "release keeps view" `Quick
-          test_pool_release_keeps_typed_view;
-        Alcotest.test_case "capacity" `Quick test_pool_capacity_drop ];
       "env pool",
       [ Alcotest.test_case "reuse and scrub" `Quick
           test_epool_reuse_and_scrub;
-        Alcotest.test_case "retained never recycles" `Quick
-          test_epool_never_recycles_retained;
-        Alcotest.test_case "exposed never recycles" `Quick
-          test_epool_never_recycles_exposed;
-        Alcotest.test_case "pairs with wire pool" `Quick
-          test_epool_boundary_pairs_with_wire_pool;
+        Alcotest.test_case "wire outlives its record" `Quick
+          test_epool_wire_outlives_record;
         qtest test_epool_model ];
       "bitset",
       [ Alcotest.test_case "bounds" `Quick test_bitset_bounds;

@@ -205,15 +205,19 @@ let test_installed_sets () =
     "installed codec set is the current shard's"
     (Kernel.codec_stats k).Envelope.Stats.traps
     codec_amb.Envelope.Stats.traps;
-  let pool_amb = Value.Pool.Stats.(snapshot_of (installed ())) in
-  Alcotest.(check int)
-    "installed wire-pool set is the current shard's"
-    (Kernel.pool_stats k).Value.Pool.Stats.hits
-    pool_amb.Value.Pool.Stats.hits;
+  let pool_amb = Envelope.Stats.(pool_snapshot_of (installed ())) in
+  Alcotest.(check bool) "the session recycled records" true
+    (pool_amb.Envelope.Stats.hits > 0);
+  Alcotest.(check bool)
+    "installed set carries the current shard's record-pool counters" true
+    (Kernel.env_pool_stats k = pool_amb);
   Envelope.Stats.(reset_of (installed ()));
   Alcotest.(check int)
     "reset_of (installed ()) zeroes the current shard" 0
-    (Kernel.codec_stats k).Envelope.Stats.traps
+    (Kernel.codec_stats k).Envelope.Stats.traps;
+  Alcotest.(check int)
+    "... and its record-pool counters" 0
+    (Kernel.env_pool_stats k).Envelope.Stats.hits
 
 (* --- cluster-wide metrics: exact counters sum, histograms merge ---------- *)
 
