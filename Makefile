@@ -18,8 +18,9 @@ test:
 # gate: every workload runs bare and under each declared agent stack,
 # the syscall signatures must agree modulo the stack's declared delta,
 # the seeded undeclared mutation must be flagged naming the first
-# diverging call, the inline CPU charge must log the scheduler's Cpu
-# handler timeline, and BENCH_conformance.json must validate.  The
+# diverging call, the inline CPU charge and trap completion must log the
+# timeline recorded under the scheduler's handlers, and
+# BENCH_conformance.json must validate.  The
 # `scale` section is the sharding gate:
 # 1/2/4/8 kernel shards over 2048 mixed-syscall processes must balance,
 # reproduce byte-identically, and keep the 1-shard stacked-getpid
@@ -28,7 +29,8 @@ test:
 # interested depth-4 trap must stay under its minor-words ceiling
 # (getpid and mixed lseek+read), so must the warm uninterested boundary
 # path (one wire per trap, the envelope record from the pool), the
-# counters must prove every interested trap ran the emulation chain, and
+# counters must prove every interested trap ran the emulation chain and
+# no trap of a single-process loop suspended to the scheduler, and
 # BENCH_hostspeed.json must validate.  The `causal` section
 # is the observability gate (DESIGN.md 3.9): fork/signal/pipe edge
 # tables and slices must reproduce byte-identically (incl. cross-shard

@@ -628,7 +628,8 @@ let alloc_json (a : alloc_report) =
       ("pool_hits", Int a.al_pool.Envelope.Stats.hits);
       ("pool_misses", Int a.al_pool.Envelope.Stats.misses);
       ("pool_recycled", Int a.al_pool.Envelope.Stats.recycled);
-      ("pool_dropped", Int a.al_pool.Envelope.Stats.dropped) ]
+      ("pool_dropped", Int a.al_pool.Envelope.Stats.dropped);
+      ("suspends", Int a.al_codec.Envelope.Stats.suspends) ]
 
 (* --- sampled tracing (ablation 7 and `smoke`) ---------------------------------- *)
 
@@ -1012,13 +1013,13 @@ let smoke_baseline_us = [ (0, 25.0); (1, 165.0); (2, 168.0); (3, 171.0); (4, 174
 let smoke_uninterested_baseline_us = 25.0
 
 (* Real-allocation ceiling for a warm uninterested trap (minor words
-   per getpid, pool warm, tracing off).  Measured 63.0 words/trap when
-   the array-backed pool landed (remaining words are the envelope and
-   effect-handler plumbing; the wire is recycled).  The pre-pool path
-   measured 64.0, and a naive list/option pool 72.0 — the ceiling sits
-   at 70 so either regression trips the gate while ~11% headroom
-   absorbs compiler drift. *)
-let smoke_minor_words_ceiling = 70.0
+   per getpid, pool warm, tracing off).  Measured 16.0 words/trap once
+   traps finished on the caller's fibre (59.0 before, when each trap
+   performed an effect and round-tripped through the run queue): the
+   wire and the reply.  The ceiling is that plus a 4-word margin for
+   compiler drift, below one envelope record (6 words) per trap — so a
+   pool regression, or any per-trap effect perform, trips it. *)
+let smoke_minor_words_ceiling = 20.0
 
 (* The smoke/ablations document shape, stated declaratively — the
    shared [Report.Schema] walker does the checking (one validator for
@@ -1034,7 +1035,8 @@ let smoke_schema =
         Obj
           [ ("traps", Int); ("minor_words_per_trap", Num);
             ("fast_path", Int); ("pool_hits", Int); ("pool_misses", Int);
-            ("pool_recycled", Int); ("pool_dropped", Int) ] );
+            ("pool_recycled", Int); ("pool_dropped", Int);
+            ("suspends", Int) ] );
       ( "codec_per_trap",
         Arr
           (Obj
@@ -1131,6 +1133,24 @@ let smoke () =
     al.al_minor_words_per_trap smoke_minor_words_ceiling
     al.al_pool.Envelope.Stats.hits al.al_iters
     al.al_pool.Envelope.Stats.recycled;
+  (* 1d. a single-process loop never hands its fibre to the scheduler:
+         every uninterested trap, at every depth, finishes inline *)
+  let suspends =
+    List.map
+      (fun d ->
+        let p = if d = 4 then al else alloc_probe d in
+        let n = p.al_codec.Envelope.Stats.suspends in
+        if n <> 0 then
+          fail "uninterested depth %d: %d suspends over %d traps, want 0" d n
+            p.al_iters;
+        n)
+      [ 0; 1; 2; 3; 4 ]
+  in
+  Printf.printf
+    "suspends to the scheduler, uninterested depths 0-4: %s (of %d traps \
+     each)\n"
+    (String.concat "/" (List.map string_of_int suspends))
+    al.al_iters;
   (* 2. tracing ON at depth 4: attribution must agree with the codec
         counters and with end-to-end span time, at zero virtual cost *)
   let a = stack_attrib 4 in
@@ -1873,15 +1893,19 @@ let conformance () =
            string_of_int v.Conformance.c_masked;
            (if Conformance.conforms v then "conformant" else "VIOLATION") ])
        verdicts);
-  (* 2. the inline CPU charge against the scheduler's Cpu handler:
-        all guards holding, a timer due inside the window, a pending
-        signal at an intercepted trap — one timeline either way *)
+  (* 2. the inline CPU charge and trap completion against the
+        scheduler's handlers: all guards holding, timers due inside a
+        charge and inside a trap, pending signals, a kill to self, a
+        second runnable process, a park on an empty pipe — one
+        timeline either way, the one recorded under the handlers *)
   let inline = Conformance.charge_log Kernel.Uspace.cpu_work in
   let handler = Conformance.charge_log Conformance.charge_by_handler in
   if inline <> handler then fail "inline CPU charge diverges from the Cpu handler";
   if inline <> (0, Conformance.charge_expected) then
-    fail "CPU charge timeline drifted from the recorded one";
-  Printf.printf "inline CPU charge: %d-event timeline identical to the Cpu handler's\n"
+    fail "CPU charge and trap timeline drifted from the recorded one";
+  Printf.printf
+    "inline CPU charge and trap completion: %d-event timeline identical \
+     to the recorded one\n"
     (List.length (snd inline));
   (* 3. the seeded mutation: an undeclared injection must be flagged,
         naming the first diverging call *)
@@ -2101,21 +2125,23 @@ let hostspeed_rounds = 3
 
 (* Ceilings on minor words per trap on the warm uninterested depth-4
    boundary path (the [alloc_probe] methodology: empty-slot
-   short-circuit, record pool warm, tracing off): the measured 59.0
-   (getpid) and 111.0 (lseek+read) plus 0.1.  Each trap allocates its
-   wire, but the envelope record around it comes off the pool; a
-   record allocated per trap adds 6 words and trips both. *)
-let hostspeed_boundary_getpid_words_ceiling = 59.1
-let hostspeed_boundary_read_words_ceiling = 111.1
+   short-circuit, record pool warm, tracing off): the measured 16.0
+   (getpid) and 68.0 (lseek+read) plus 0.1.  Each trap allocates its
+   wire and its reply, but the envelope record around it comes off the
+   pool and the kernel half finishes on the caller's fibre; a record
+   allocated per trap adds 6 words, and a suspend to the scheduler per
+   trap adds 41, so either trips both. *)
+let hostspeed_boundary_getpid_words_ceiling = 16.1
+let hostspeed_boundary_read_words_ceiling = 68.1
 
 (* Ceilings on minor words per interested trap through a depth-4 chain
-   of null symbolic agents: the chained path measures 77.001 and
-   122.3 (the fraction is the timing loop's own floats), the same on
+   of null symbolic agents: the chained path measures 34.001 and
+   79.33 (the fraction is the timing loop's own floats), the same on
    every run.  An effect perform per agent layer, as a dispatch walk
    that skips the inline CPU charge would pay, adds over a hundred
-   words per trap and trips them. *)
-let hostspeed_getpid_d4_words_ceiling = 77.1
-let hostspeed_mixed_read_words_ceiling = 122.4
+   words per trap, and a suspend per trap 41; either trips them. *)
+let hostspeed_getpid_d4_words_ceiling = 34.1
+let hostspeed_mixed_read_words_ceiling = 79.4
 
 type host_run = {
   hr_ns_per_trap : float;           (* best-of-N rounds *)
@@ -2283,6 +2309,7 @@ let host_case_json ~workload ~depth (r : host_run) =
       ("major_collections", Int r.hr_major_collections);
       ("chained", Int r.hr_codec.Envelope.Stats.chained);
       ("fast_path", Int r.hr_codec.Envelope.Stats.fast_path);
+      ("suspends", Int r.hr_codec.Envelope.Stats.suspends);
       ("env_pool_hits", Int r.hr_env_pool.Envelope.Stats.hits);
       ("env_pool_misses", Int r.hr_env_pool.Envelope.Stats.misses) ]
 
@@ -2304,7 +2331,7 @@ let hostspeed_schema =
                ("ns_per_trap", Num); ("traps_per_sec", Num);
                ("minor_words_per_trap", Num); ("promoted_words", Num);
                ("major_collections", Int); ("chained", Int);
-               ("fast_path", Int);
+               ("fast_path", Int); ("suspends", Int);
                ("env_pool_hits", Int); ("env_pool_misses", Int) ]) ) ]
 
 let hostspeed () =
@@ -2312,8 +2339,9 @@ let hostspeed () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let total = hostspeed_rounds * hostspeed_iters in
-  (* counter proof, per measured case: depth 0 is pure fast path, and
-     with agents stacked every trap runs the chain *)
+  (* counter proof, per measured case: depth 0 is pure fast path, with
+     agents stacked every trap runs the chain, and no trap of a
+     single-process loop hands its fibre to the scheduler *)
   let check_counters ~what ~depth ~tpi (r : host_run) =
     let traps = total * tpi in
     let c = r.hr_codec in
@@ -2326,7 +2354,10 @@ let hostspeed () =
     end
     else if c.Envelope.Stats.chained <> c.Envelope.Stats.traps then
       fail "%s d%d: only %d of %d traps chained" what depth
-        c.Envelope.Stats.chained c.Envelope.Stats.traps
+        c.Envelope.Stats.chained c.Envelope.Stats.traps;
+    if c.Envelope.Stats.suspends <> 0 then
+      fail "%s d%d: %d suspends over %d traps, want 0" what depth
+        c.Envelope.Stats.suspends c.Envelope.Stats.traps
   in
   let row (r : host_run) =
     [ Printf.sprintf "%.0f" r.hr_ns_per_trap;
@@ -2365,6 +2396,12 @@ let hostspeed () =
      mixed read %.1f (ceiling %.1f)\n"
     g4.hr_minor_words_per_trap hostspeed_getpid_d4_words_ceiling
     mixed.hr_minor_words_per_trap hostspeed_mixed_read_words_ceiling;
+  Printf.printf "suspends to the scheduler: getpid d0-4 %s, mixed read %d\n"
+    (String.concat "/"
+       (List.map
+          (fun (_, r) -> string_of_int r.hr_codec.Envelope.Stats.suspends)
+          getpid_cases))
+    mixed.hr_codec.Envelope.Stats.suspends;
   (* boundary path, the PR 3 configuration: with the record pool warm,
      only the wire is allocated per trap *)
   let bg_words, bg_pool = host_boundary_getpid () in
@@ -2428,9 +2465,10 @@ let hostspeed () =
        path hostspeed_schema);
   Report.print_note
     "Each process's emulation chain holds the installed handler closures\n\
-     themselves, and CPU is charged inline when no scheduling point is\n\
-     due, so an interested trap costs no option probes and usually no\n\
-     effect performs (DESIGN.md 3.8).";
+     themselves, and both the CPU charge and the trap's kernel half\n\
+     finish on the caller's fibre when no scheduling point is due, so a\n\
+     trap costs no option probes and, alone on its shard, no effect\n\
+     performs (DESIGN.md 3.8).";
   match !failures with
   | [] -> Printf.printf "[hostspeed] all gates passed\n"
   | fs ->

@@ -255,6 +255,15 @@ let print_metrics k =
           (Obs.Hist.quantile l.Obs.lm_hist 0.99))
       m.Obs.m_layers
   end;
+  (* how often a trap could not finish on its caller's fibre: exact and
+     deterministic, like everything above *)
+  let c = Kernel.codec_stats k in
+  if c.Abi.Envelope.Stats.traps > 0 then
+    Printf.eprintf
+      "[sched] %d trap(s), %d suspend(s) to the scheduler (%.3f per trap)\n"
+      c.Abi.Envelope.Stats.traps c.Abi.Envelope.Stats.suspends
+      (float_of_int c.Abi.Envelope.Stats.suspends
+      /. float_of_int c.Abi.Envelope.Stats.traps);
   (* host-side cost of the run: wall-clock and GC figures, the one
      deliberately non-deterministic block (everything above is virtual
      time and exact counts) *)

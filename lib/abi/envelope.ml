@@ -10,6 +10,7 @@ module Stats = struct
     encodes : int;
     crossings : int;
     agent_calls : int;
+    suspends : int;
   }
 
   type pool_snapshot = {
@@ -32,6 +33,7 @@ module Stats = struct
     mutable c_encodes : int;
     mutable c_crossings : int;
     mutable c_agent_calls : int;
+    mutable c_suspends : int;
     mutable c_pool_hits : int;
     mutable c_pool_misses : int;
     mutable c_pool_recycled : int;
@@ -41,6 +43,7 @@ module Stats = struct
   let create () =
     { c_traps = 0; c_chained = 0; c_fast_path = 0;
       c_decodes = 0; c_encodes = 0; c_crossings = 0; c_agent_calls = 0;
+      c_suspends = 0;
       c_pool_hits = 0; c_pool_misses = 0; c_pool_recycled = 0;
       c_pool_dropped = 0 }
 
@@ -57,6 +60,7 @@ module Stats = struct
       encodes = c.c_encodes;
       crossings = c.c_crossings;
       agent_calls = c.c_agent_calls;
+      suspends = c.c_suspends;
     }
 
   let reset_of c =
@@ -67,6 +71,7 @@ module Stats = struct
     c.c_encodes <- 0;
     c.c_crossings <- 0;
     c.c_agent_calls <- 0;
+    c.c_suspends <- 0;
     c.c_pool_hits <- 0;
     c.c_pool_misses <- 0;
     c.c_pool_recycled <- 0;
@@ -81,14 +86,15 @@ module Stats = struct
       encodes = after.encodes - before.encodes;
       crossings = after.crossings - before.crossings;
       agent_calls = after.agent_calls - before.agent_calls;
+      suspends = after.suspends - before.suspends;
     }
 
   let pp fmt s =
     Format.fprintf fmt
       "traps=%d chained=%d fast_path=%d decodes=%d encodes=%d \
-       crossings=%d agent_calls=%d"
+       crossings=%d agent_calls=%d suspends=%d"
       s.traps s.chained s.fast_path s.decodes s.encodes
-      s.crossings s.agent_calls
+      s.crossings s.agent_calls s.suspends
 
   let to_json s =
     Obs.Json.Obj
@@ -100,6 +106,7 @@ module Stats = struct
         ("encodes", Obs.Json.Int s.encodes);
         ("crossings", Obs.Json.Int s.crossings);
         ("agent_calls", Obs.Json.Int s.agent_calls);
+        ("suspends", Obs.Json.Int s.suspends);
       ]
 
   let pool_snapshot_of c =
@@ -136,6 +143,10 @@ module Stats = struct
   let note_agent_call () =
     let c = !cur in
     c.c_agent_calls <- c.c_agent_calls + 1
+
+  let note_suspend () =
+    let c = !cur in
+    c.c_suspends <- c.c_suspends + 1
 
   let note_decode () =
     let c = !cur in

@@ -164,6 +164,11 @@ module Stats : sig
     encodes : int;       (** typed → wire materializations *)
     crossings : int;     (** envelope handed down one stack layer *)
     agent_calls : int;   (** envelopes originated by agent/toolkit code *)
+    suspends : int;
+        (** effect performs from the trap path that hand the fibre to
+            the scheduler: traps that could not finish on the caller's
+            fibre, plus CPU charges that could not run inline.  0 per
+            trap on a single-process loop at any depth *)
   }
 
   type t
@@ -205,8 +210,8 @@ module Stats : sig
 
   val to_json : snapshot -> Obs.Json.t
   (** The ["codec"] block of [Kernel.metrics_json] and [/obs/metrics]
-      — notably the [fast_path] and [chained] counters next to the span
-      metrics. *)
+      — notably the [fast_path], [chained] and [suspends] counters next
+      to the span metrics. *)
 
   (** {2 Record-pool counters}
 
@@ -243,4 +248,8 @@ module Stats : sig
 
   val note_crossing : unit -> unit
   val note_agent_call : unit -> unit
+
+  val note_suspend : unit -> unit
+  (** The trap path handed the calling fibre to the scheduler: counted
+      in [suspends]. *)
 end

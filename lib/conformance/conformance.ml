@@ -276,26 +276,36 @@ let verdict_to_json v =
         | Some d -> Signature.divergence_to_json d );
     ]
 
-(* --- the inline CPU charge -------------------------------------------------- *)
+(* --- the inline CPU charge and trap completion ------------------------------- *)
 
 (* [Uspace.cpu_work] charges inline when its guards allow and falls
-   back to the scheduler's [Cpu] handler otherwise.  One scenario
-   drives a charge function through three cases, logging each point a
-   difference could show as (what, clock µs, user-time µs) since its
-   start:
+   back to the scheduler's [Cpu] handler otherwise; a trap likewise
+   finishes on the caller's fibre under the same guards and suspends
+   to the scheduler otherwise.  One scenario drives a charge function
+   through the cases where a difference could show, logging each point
+   as (what, clock µs, user-time µs) since its start:
    (a) all guards hold: the clock and user time advance by exactly the
        charge, and nothing is delivered;
    (b) an alarm falls due inside the window: the handler runs, and the
        timer fires at the scheduling point it creates, leaving SIGALRM
        pending;
    (c) the pending signal meets an intercepted trap: it is delivered
-       before the emulation handler runs. *)
+       before the emulation handler runs;
+   (d) an alarm falls due inside a trap's own kernel cost: the trap
+       yields, the timer fires, and SIGALRM reaches the next trap;
+   (e) a kill to self with a handled signal: delivered on the way out
+       of the kill itself;
+   (f) fork: the child is enqueued, so each trap of either process
+       yields to the other, a read on an empty pipe parks the parent
+       until the child writes, and the child's kill to self with
+       SIGKILL ends it at that trap. *)
 let charge_by_handler us =
   let proc = Kernel.Proc.Cur.get_exn () in
   List.iter (Kernel.Uspace.deliver_app proc)
     (Effect.perform (Kernel.Events.Cpu us))
 
 let charge_log charge =
+  let open Libc.Unistd in
   let k = Kernel.create () in
   let now () = Sim.Clock.now_us (Kernel.clock k) in
   let utime () = (Kernel.Proc.Cur.get_exn ()).Kernel.Proc.utime_us in
@@ -303,34 +313,81 @@ let charge_log charge =
   let note what = log := (what, now () - !t0, utime () - !u0) :: !log in
   let status =
     Kernel.boot k ~name:"charge" (fun () ->
-      ignore
-        (Libc.Unistd.signal Signal.sigalrm
-           (Value.H_fn (fun _ -> note "sigalrm")));
+      ignore (signal Signal.sigalrm (Value.H_fn (fun _ -> note "sigalrm")));
       Kernel.Uspace.task_set_emulation ~numbers:[ Sysno.sys_getpid ]
         (Some (fun env -> note "handler"; Kernel.Uspace.htg_trap env));
       t0 := now ();
       u0 := utime ();
       charge 500;
       note "charged";
-      ignore (Libc.Unistd.alarm 1);
+      ignore (alarm 1);
       charge 2_000_000;
       note "charged";
-      ignore (Libc.Unistd.getpid ());
+      ignore (getpid ());
       note "returned";
+      Kernel.Uspace.task_set_emulation ~numbers:[ Sysno.sys_getpid ] None;
+      (* (d) *)
+      ignore (alarm 1);
+      charge 999_990;
+      ignore (getppid ());
+      note "trap across alarm";
+      ignore (getppid ());
+      note "trap after alarm";
+      (* (e) *)
+      ignore (signal Signal.sigusr1 (Value.H_fn (fun _ -> note "sigusr1")));
+      ignore (kill (getpid ()) Signal.sigusr1);
+      note "killed self";
+      (* (f) *)
+      let r, w = ok_exn "pipe" (pipe ()) in
+      let child () =
+        note "child runs";
+        ignore (getppid ());
+        note "child trapped";
+        charge 100;
+        ignore (write w "x");
+        note "child wrote";
+        ignore (kill (getpid ()) Signal.sigkill);
+        note "child outlived SIGKILL";
+        0
+      in
+      let pid = ok_exn "fork" (fork ~child) in
+      note "parent forked";
+      ignore (getppid ());
+      note "parent trapped";
+      ignore (read r (Bytes.create 1) 1);
+      note "parent read";
+      let _, st = ok_exn "waitpid" (waitpid pid 0) in
+      note (Printf.sprintf "reaped status %d" st);
       0)
   in
   (status, List.rev !log)
 
-(* What both paths must log: the scheduler handler's timeline, in which
-   the 1 s alarm fires after the 2 s charge (and the 50 µs alarm call)
-   and reaches the application 30 µs later, at the intercept charge of
-   the next trap. *)
+(* What both paths must log: the timeline recorded under the
+   scheduler's handlers, before traps could finish inline.  The first
+   1 s alarm fires after the 2 s charge (and the 50 µs alarm call) and
+   reaches the application 30 µs later, at the intercept charge of the
+   next trap.  The second falls due 15 µs before the end of a 25 µs
+   getppid: that trap yields, the timer fires, and SIGALRM reaches the
+   next trap.  From the fork on, the two processes alternate trap by
+   trap; the child's user time starts at zero. *)
 let charge_expected =
   [ ("charged", 500, 500);
     ("charged", 2_000_550, 2_000_500);
     ("sigalrm", 2_000_580, 2_000_530);
     ("handler", 2_000_580, 2_000_530);
-    ("returned", 2_000_642, 2_000_530) ]
+    ("returned", 2_000_642, 2_000_530);
+    ("trap across alarm", 3_000_707, 3_000_520);
+    ("sigalrm", 3_000_732, 3_000_520);
+    ("trap after alarm", 3_000_732, 3_000_520);
+    ("sigusr1", 3_000_897, 3_000_520);
+    ("killed self", 3_000_897, 3_000_520);
+    ("child runs", 3_011_197, 0);
+    ("parent forked", 3_011_222, 3_000_520);
+    ("child trapped", 3_011_247, 0);
+    ("parent trapped", 3_011_347, 3_000_520);
+    ("child wrote", 3_011_625, 100);
+    ("parent read", 3_011_650, 3_000_520);
+    ("reaped status 9", 3_011_830, 3_000_520) ]
 
 (* --- workload helpers ----------------------------------------------------- *)
 

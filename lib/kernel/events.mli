@@ -1,9 +1,11 @@
 (** Effect declarations shared by the scheduler (handler side) and the
     user-space stubs (perform side).
 
-    A simulated process is an OCaml fibre; everything it asks of the
-    kernel is an effect performed here and handled by the scheduler in
-    {!Kernel}. *)
+    A simulated process is an OCaml fibre.  A system call runs its
+    kernel half on that fibre ({!Uspace}, {!Trap}) and performs an
+    effect only when it must wait for, or yield to, the rest of the
+    shard; the task primitives below are always effects.  The handler
+    side is the scheduler in {!Kernel}. *)
 
 (** How a trap reached the kernel: directly from the application, or
     through [htg_unix_syscall] (which bypasses the emulation vector and
@@ -31,10 +33,19 @@ type exec_spec = {
 }
 
 type _ Effect.t +=
-  | Trap : Abi.Envelope.t * via -> trap_reply Effect.t
-      (** A system call arriving at the kernel, as a decode-once
-          envelope: the kernel reuses a typed view materialized by any
-          agent above it rather than decoding again. *)
+  | Suspend :
+      ((trap_reply, unit) Effect.Deep.continuation -> unit)
+      -> trap_reply Effect.t
+      (** Hand a trap that cannot finish on the caller's fibre to the
+          scheduler.  The kernel half of every trap runs inline, in
+          {!Uspace}; when its outcome is a plain reply and no other
+          fibre, signal or timer could act at this point, the reply
+          returns with no effect at all.  Otherwise the fibre performs
+          this once, carrying the settling of the outcome it already
+          has (reply, park, exit or exec) as a function of its
+          continuation, which the scheduler's handler applies.  The
+          function may raise instead: a kernel exception re-raised
+          here escapes to the scheduler, never into user code. *)
   | Cpu : int -> int list Effect.t
       (** Charge [n] µs of user computation to the virtual clock.  Also
           a scheduling and signal-check point: returns the signals to

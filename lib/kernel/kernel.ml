@@ -5,6 +5,7 @@ module Kstate = Kstate
 module Proc = Proc
 module Registry = Registry
 module Syscalls = Syscalls
+module Trap = Trap
 module Uspace = Uspace
 
 open Abi
@@ -13,159 +14,6 @@ type t = Kstate.t
 
 let log_src = Logs.Src.create "kernel" ~doc:"simulated kernel"
 module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* --- fibre plumbing ------------------------------------------------------ *)
-
-let discard k =
-  try Effect.Deep.discontinue k Events.Process_killed
-  with Events.Process_killed -> () | _ -> ()
-
-(* Resume a continuation with liveness re-checked at run time: the
-   process may have been killed while its resumption sat in the run
-   queue. *)
-let enqueue_resume (t : t) (proc : Proc.t) k v =
-  Kstate.enqueue t (fun () ->
-    match proc.state with
-    | Proc.Runnable ->
-      Proc.Cur.set (Some proc);
-      Effect.Deep.continue k v;
-      Proc.Cur.set None
-    | Proc.Zombie | Proc.Reaped -> discard k
-    | Proc.Parked _ | Proc.Stopped _ -> discard k)
-
-(* Terminal (default-action) signals left pending by
-   collect_deliverable: decide the process's fate at a trap boundary. *)
-let pending_terminal (proc : Proc.t) =
-  let result = ref `None in
-  (try
-     for s = 1 to Signal.max_signal do
-       if Signal.Mask.mem proc.sigs.pending s
-          && (s = Signal.sigkill || s = Signal.sigstop
-              || not (Signal.Mask.mem proc.sigs.mask s))
-       then begin
-         let dispo =
-           if s = Signal.sigkill then `Terminate
-           else if s = Signal.sigstop then `Stop
-           else
-             match Proc.handler proc s with
-             | Value.H_default ->
-               (match Signal.default_action s with
-                | Signal.Terminate -> `Terminate
-                | Signal.Stop -> `Stop
-                | Signal.Ignore | Signal.Continue -> `Other)
-             | Value.H_ignore | Value.H_fn _ -> `Other
-         in
-         match dispo with
-         | `Terminate ->
-           result := `Kill (s, Flags.Wait.sig_status s);
-           raise Exit
-         | `Stop ->
-           result := `Stop s;
-           raise Exit
-         | `Other -> ()
-       end
-     done
-   with Exit -> ());
-  !result
-
-(* Deliver a reply to a process at a trap boundary, honouring pending
-   terminal signals and stops. *)
-let finish_reply (t : t) (proc : Proc.t) k (reply : Events.trap_reply) =
-  let deliver = reply.deliver @ Kstate.collect_deliverable t proc in
-  let reply = { reply with deliver } in
-  match pending_terminal proc with
-  | `Kill (s, status) ->
-    proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
-    Kstate.do_exit t proc status;
-    discard k
-  | `Stop s ->
-    proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
-    proc.state <- Proc.Stopped { sk = k; reply };
-    (match Kstate.proc t proc.ppid with
-     | Some parent ->
-       Kstate.post_signal t parent Signal.sigchld;
-       Kstate.wake_key t (Kstate.K_child parent.pid)
-     | None -> ())
-  | `None -> enqueue_resume t proc k reply
-
-let keys_of_cond (cond : Proc.cond) : Kstate.wait_key list =
-  match cond with
-  | Proc.On_child -> []          (* keyed by the waiter itself *)
-  | Proc.On_pipe_read i -> [ Kstate.K_pipe_r i ]
-  | Proc.On_pipe_write i -> [ Kstate.K_pipe_w i ]
-  | Proc.On_fifo_read i -> [ Kstate.K_fifo_r i ]
-  | Proc.On_fifo_write i -> [ Kstate.K_fifo_w i ]
-  | Proc.On_accept i -> [ Kstate.K_accept i ]
-  | Proc.On_connq i -> [ Kstate.K_connq i ]
-  | Proc.On_time _ -> []         (* woken by the timer wheel *)
-  | Proc.On_signal -> []         (* woken by signal posting *)
-  | Proc.On_select s ->
-    List.map (fun i -> Kstate.K_pipe_r i) s.rpipes
-    @ List.map (fun i -> Kstate.K_pipe_w i) s.wpipes
-    @ List.map (fun i -> Kstate.K_fifo_r i) s.rfifos
-    @ List.map (fun i -> Kstate.K_fifo_w i) s.wfifos
-    @ List.map (fun i -> Kstate.K_accept i) s.rlisten
-
-let base_cost (via : Events.via) call =
-  Cost_model.syscall_us call
-  + (match via with
-     | Events.Htg -> Cost_model.htg_overhead_us
-     | Events.App -> 0)
-
-let rec process_trap (t : t) (proc : Proc.t) (env : Envelope.t)
-    (via : Events.via) k ~first =
-  (* a deferred fatal signal takes effect at syscall entry, before the
-     call can park the process out of its reach *)
-  match pending_terminal proc with
-  | `Kill (s, status) ->
-    proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
-    Kstate.do_exit t proc status;
-    discard k
-  | `Stop _ | `None ->
-  (* decode-once: if any agent above already materialized the typed
-     view, this is a memoized read, not a second decode *)
-  match Envelope.call env with
-  | Error e ->
-    if first then Kstate.charge t Cost_model_base.trivial_us;
-    finish_reply t proc k { Events.res = Error e; deliver = [] }
-  | Ok call ->
-    if first then begin
-      let cost = base_cost via call in
-      proc.stime_us <- proc.stime_us + cost;
-      Kstate.charge t cost
-    end;
-    let pre_mask = proc.sigs.mask in
-    let outcome = Syscalls.dispatch t proc call in
-    (match outcome with
-     | Kstate.Done res ->
-       Kstate.run_trace_hook t proc call res;
-       finish_reply t proc k { Events.res; deliver = [] }
-     | Kstate.Block cond ->
-       let saved_mask =
-         match cond with
-         | Proc.On_signal -> Some pre_mask
-         | Proc.On_child | Proc.On_pipe_read _ | Proc.On_pipe_write _
-         | Proc.On_fifo_read _ | Proc.On_fifo_write _ | Proc.On_accept _
-         | Proc.On_connq _ | Proc.On_time _ | Proc.On_select _ ->
-           None
-       in
-       proc.state <- Proc.Parked { k; env; via; cond; saved_mask };
-       (match cond with
-        | Proc.On_child -> Kstate.sleep_on t (Kstate.K_child proc.pid) proc.pid
-        | _ ->
-          List.iter
-            (fun key -> Kstate.sleep_on t key proc.pid)
-            (keys_of_cond cond))
-     | Kstate.Exited -> ()  (* _exit never returns: abandon the fibre *)
-     | Kstate.Exec spec ->
-       start_exec t proc spec)
-
-and start_exec (t : t) (proc : Proc.t) (spec : Events.exec_spec) =
-  (* the exec trap's span(s) can never be closed by the code that
-     opened them — the old fibre is abandoned here *)
-  Obs.abort_pid proc.pid;
-  if not spec.keep_emulation then proc.emul <- Proc.fresh_emulation ();
-  t.hooks.spawn proc spec.exec_body
 
 (* --- the fibre root ------------------------------------------------------- *)
 
@@ -196,31 +44,31 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Events.Trap (env, via) ->
+          | Events.Suspend settle ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
-              process_trap t proc env via k ~first:true)
+              settle k)
           | Events.Cpu us ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
               proc.utime_us <- proc.utime_us + us;
               Kstate.charge t us;
               let deliver = Kstate.collect_deliverable t proc in
-              (match pending_terminal proc with
+              (match Trap.pending_terminal proc with
                | `Kill (s, status) ->
                  proc.sigs.pending <-
                    Signal.Mask.remove proc.sigs.pending s;
                  Kstate.do_exit t proc status;
-                 discard k
+                 Trap.discard k
                | `Stop _ | `None ->
                  (* stops at a pure compute point are deferred to the
                     next trap *)
-                 enqueue_resume t proc k deliver))
+                 Trap.enqueue_resume t proc k deliver))
           | Events.Exec_load spec ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
               ignore (k : (a, unit) continuation);
-              start_exec t proc spec)
+              Trap.start_exec t proc spec)
           | Events.Set_emulation (numbers, handler) ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
@@ -237,7 +85,7 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
                 (fun n ->
                   if n >= 0 && n < Array.length chain then chain.(n) <- slot)
                 numbers;
-              enqueue_resume t proc k ())
+              Trap.enqueue_resume t proc k ())
           | Events.Get_emulation n ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
@@ -248,16 +96,16 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
                   let h = chain.(n) in
                   if h == Proc.chain_unset then None else Some h
               in
-              enqueue_resume t proc k h)
+              Trap.enqueue_resume t proc k h)
           | Events.Set_emulation_signal h ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
               proc.emul.sig_emul <- h;
-              enqueue_resume t proc k ())
+              Trap.enqueue_resume t proc k ())
           | Events.Get_emulation_signal ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
-              enqueue_resume t proc k proc.emul.sig_emul)
+              Trap.enqueue_resume t proc k proc.emul.sig_emul)
           | _ -> None) }
 
 let enqueue_start (t : t) (proc : Proc.t) (body : unit -> int) =
@@ -268,18 +116,6 @@ let enqueue_start (t : t) (proc : Proc.t) (body : unit -> int) =
       run_fiber t proc body;
       Proc.Cur.set None
     | Proc.Zombie | Proc.Reaped | Proc.Parked _ | Proc.Stopped _ -> ())
-
-let retry (t : t) (proc : Proc.t) =
-  match proc.state with
-  | Proc.Parked park ->
-    proc.state <- Proc.Runnable;
-    Kstate.enqueue t (fun () ->
-      match proc.state with
-      | Proc.Runnable ->
-        process_trap t proc park.env park.via park.k ~first:false
-      | Proc.Zombie | Proc.Reaped -> discard park.k
-      | Proc.Parked _ | Proc.Stopped _ -> ())
-  | Proc.Runnable | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> ()
 
 (* --- the scheduler --------------------------------------------------------- *)
 
@@ -297,7 +133,7 @@ let fire_timer (t : t) (ev : Kstate.timer_event) =
        (match proc.state with
         | Proc.Parked ({ cond = Proc.On_time _; _ } as park) ->
           proc.state <- Proc.Runnable;
-          finish_reply t proc park.k
+          Trap.finish_reply t proc park.k
             { Events.res = Value.ret 0; deliver = [] }
         | Proc.Runnable | Proc.Parked _ | Proc.Stopped _
         | Proc.Zombie | Proc.Reaped -> ())
@@ -309,7 +145,7 @@ let fire_timer (t : t) (ev : Kstate.timer_event) =
         | Proc.Parked ({ cond = Proc.On_select _; _ } as park) ->
           (* timeout: no descriptors ready *)
           proc.state <- Proc.Runnable;
-          finish_reply t proc park.k
+          Trap.finish_reply t proc park.k
             { Events.res = Value.ret 0 ~r1:0; deliver = [] }
         | Proc.Runnable | Proc.Parked _ | Proc.Stopped _
         | Proc.Zombie | Proc.Reaped -> ())
@@ -332,10 +168,10 @@ let kill_stragglers (t : t) =
       match p.state with
       | Proc.Parked park ->
         Kstate.do_exit t p (Flags.Wait.sig_status Signal.sigkill);
-        discard park.k
+        Trap.discard park.k
       | Proc.Stopped st ->
         Kstate.do_exit t p (Flags.Wait.sig_status Signal.sigkill);
-        discard st.sk
+        Trap.discard st.sk
       | Proc.Runnable | Proc.Zombie | Proc.Reaped -> ())
     stragglers;
   stragglers <> []
@@ -416,7 +252,7 @@ let create ?shard_id () =
   let t = Kstate.create ?shard_id () in
   t.hooks <-
     { Kstate.spawn = (fun proc body -> enqueue_start t proc body);
-      retry = (fun proc -> retry t proc) };
+      retry = (fun proc -> Trap.retry t proc) };
   (* give this shard's observability engine this shard's clock and
      current-process context; they live and die with the handle *)
   Obs.with_engine t.obs (fun () ->
@@ -841,6 +677,7 @@ module Cluster = struct
             encodes = acc.encodes + x.encodes;
             crossings = acc.crossings + x.crossings;
             agent_calls = acc.agent_calls + x.agent_calls;
+            suspends = acc.suspends + x.suspends;
           })
         {
           Envelope.Stats.traps = 0;
@@ -850,6 +687,7 @@ module Cluster = struct
           encodes = 0;
           crossings = 0;
           agent_calls = 0;
+          suspends = 0;
         }
         c.shards
     in

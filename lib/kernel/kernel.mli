@@ -12,10 +12,13 @@
     which case the stragglers are killed and counted in
     [deadlock_kills]).
 
-    Simulated processes are OCaml fibres; they interact with the kernel
-    exclusively through the effects in {!Events}, performed by the
-    stubs in {!Uspace} (applications normally go through {!Libc} on top
-    of those). *)
+    Simulated processes are OCaml fibres; they reach the kernel through
+    the stubs in {!Uspace} (applications normally go through {!Libc} on
+    top of those).  A system call's kernel half ({!Trap}) runs on the
+    caller's fibre and returns directly when no other fibre, signal or
+    timer could act at that point; otherwise, and for the task
+    primitives, the stub performs an effect from {!Events} and the
+    scheduler here handles it. *)
 
 (** {1 Submodules}
 
@@ -29,6 +32,7 @@ module Kstate = Kstate
 module Proc = Proc
 module Registry = Registry
 module Syscalls = Syscalls
+module Trap = Trap
 module Uspace = Uspace
 
 type t = Kstate.t
@@ -115,9 +119,11 @@ val register_image : t -> string -> Registry.image -> unit
 
 val codec_stats : t -> Abi.Envelope.Stats.snapshot
 (** This shard's envelope codec counters (decodes, encodes, stack
-    crossings) — the measured form of the decode-once invariant.  The
-    codec work happens in user space, but user space belongs to exactly
-    one shard: whichever is entered while its fibres run. *)
+    crossings) — the measured form of the decode-once invariant — and
+    its [suspends] count: traps and CPU charges that handed their fibre
+    to the scheduler.  The codec work happens in user space, but user
+    space belongs to exactly one shard: whichever is entered while its
+    fibres run. *)
 
 val reset_codec_stats : t -> unit
 (** Zero [t]'s codec and envelope-record-pool counters.  Only between
@@ -173,7 +179,7 @@ val watch_verdicts : t -> Obs.Watch.verdict list
 val metrics_json : t -> Obs.Json.t
 (** {!metrics} rendered with syscall names resolved via
     [Abi.Sysno.name], plus ["codec"] ({!codec_stats}, incl.
-    [fast_path] and [chained]), ["env_pool"] ({!env_pool_stats}),
+    [fast_path], [chained] and [suspends]), ["env_pool"] ({!env_pool_stats}),
     ["host"] ({!host_stats}) and ["watchdogs"] ({!watch_verdicts})
     blocks — every runtime statistic
     of one shard in one document.  The [/obs/metrics] synthetic file

@@ -19,6 +19,7 @@ type outcome =
   | Done of Value.res
   | Block of Proc.cond
   | Exited
+  | Killed
   | Exec of Events.exec_spec
 
 type hooks = {
@@ -230,11 +231,32 @@ let has_select_timer t pid =
 let next_timer t =
   match t.timers with [] -> None | hd :: _ -> Some hd
 
-(* Allocation-free variant for the inline CPU-charge path, which
-   asks this once or more per dispatch level: the earliest deadline,
-   or [max_int] with no timers armed. *)
+(* Allocation-free variant for [may_continue], which asks this on
+   every inline CPU charge and trap: the earliest deadline, or
+   [max_int] with no timers armed. *)
 let next_timer_at t =
   match t.timers with [] -> max_int | (at, _) :: _ -> at
+
+(* May the running fibre of [p] carry on past a scheduling point at
+   virtual time [at] without handing control to the scheduler?  Yes
+   exactly when handing it over would change nothing:
+   - the process is still runnable: a zombie whose fibre caught
+     [Process_killed] must be discarded by the scheduler's resumption,
+     not carry on running user code;
+   - no signal is pending, so there is nothing to deliver and nobody
+     to kill or stop;
+   - the run queue is empty, so the scheduler would pop this very
+     fibre's resumption straight back — no other fibre's turn is
+     being stolen;
+   - no timer is due at or before [at], so the scheduling point could
+     not fire one.
+   A deterministic function of simulation state: a run makes the same
+   decisions every time. *)
+let may_continue t (p : Proc.t) ~at =
+  (match p.state with
+   | Proc.Runnable -> true
+   | Proc.Parked _ | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> false)
+  && p.sigs.pending = 0 && Queue.is_empty t.runq && next_timer_at t > at
 
 let pop_timer t =
   match t.timers with [] -> () | _ :: tl -> t.timers <- tl

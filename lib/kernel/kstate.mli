@@ -23,6 +23,10 @@ type outcome =
   | Done of Abi.Value.res
   | Block of Proc.cond    (** park the caller; retried on wake *)
   | Exited                (** the caller is gone; abandon the fibre *)
+  | Killed
+      (** a fatal signal pending at trap entry ended the caller before
+          dispatch; discontinue its fibre.  Produced by [Trap.dispatch],
+          never by {!Syscalls.dispatch} *)
   | Exec of Events.exec_spec
       (** replace the caller's program text; abandon the fibre *)
 
@@ -118,8 +122,20 @@ val next_timer : t -> (int * timer_event) option
 
 val next_timer_at : t -> int
 (** Earliest timer deadline, [max_int] when none are armed.  Unlike
-    {!next_timer} this never allocates — the inline CPU-charge path
-    reads it on every dispatch level. *)
+    {!next_timer} this never allocates — {!may_continue} reads it on
+    every inline CPU charge and trap. *)
+
+val may_continue : t -> Proc.t -> at:int -> bool
+(** The one guard under which the running fibre of a process carries
+    on without handing control to the scheduler, used by both the
+    inline CPU charge and inline trap completion ({!Uspace}): the
+    process is still [Runnable], no signal is pending for it, the run
+    queue is empty, and no timer is due at or before [at].  When it
+    holds, a round trip through the scheduler would pop this fibre
+    straight back having changed nothing.  A process killed while its
+    fibre runs (a [Zombie] whose user code caught
+    [Events.Process_killed]) fails it, so the scheduler discards that
+    fibre at its next trap or charge. *)
 
 val pop_timer : t -> unit
 

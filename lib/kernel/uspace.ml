@@ -32,14 +32,56 @@ let deliver_one (proc : Proc.t) s =
 
 let deliver proc sigs = List.iter (deliver_one proc) sigs
 
+let leave = function Some fr -> Obs.layer_exit fr | None -> ()
+
+(* Hand the calling fibre to the scheduler: the [Suspend] handler
+   applies [settle] to its continuation, and the fibre resumes (if
+   ever) with the reply.  The "kernel" frame [fr] closes before any
+   signal reaches the application, and on an unwind. *)
+let suspend (proc : Proc.t) fr settle : Value.res =
+  Envelope.Stats.note_suspend ();
+  match Effect.perform (Events.Suspend settle) with
+  | reply ->
+    leave fr;
+    deliver proc reply.deliver;
+    reply.res
+  | exception e ->
+    leave fr;
+    raise e
+
+(* The kernel half of a trap, on the caller's fibre: Jones's last
+   procedure call, into the kernel beneath every agent.  [Trap.dispatch]
+   runs in no process's context, exactly as it would under the
+   scheduler.  A plain reply returns directly when [Kstate.may_continue]
+   says the scheduler would pop this fibre straight back: the process
+   still runnable, no signal to deliver (and so no terminal decision),
+   an empty run queue, no timer due.  Anything else — a pending signal, another runnable fibre, a
+   due timer, a park, exit or exec — suspends once and lets the
+   scheduler settle the outcome already in hand; nothing is dispatched
+   twice.  An exception out of the kernel is re-raised from the
+   scheduler's side, so no [try] in user code can swallow it. *)
+let kernel_call (proc : Proc.t) (env : Envelope.t) (via : Events.via) =
+  match !Kstate.Ambient.current with
+  | None -> invalid_arg "Uspace: system call outside a kernel shard"
+  | Some t ->
+    let fr = Obs.layer_enter ~span:(Envelope.span env) "kernel" in
+    let cur = Proc.Cur.get () in
+    let pre_mask = proc.sigs.mask in
+    Proc.Cur.set None;
+    match Trap.dispatch t proc env via ~first:true with
+    | Kstate.Done res
+      when Kstate.may_continue t proc ~at:(Sim.Clock.now_us t.Kstate.clock) ->
+      Proc.Cur.set cur;
+      leave fr;
+      res
+    | outcome ->
+      suspend proc fr (fun k ->
+          Trap.settle t proc env via ~pre_mask k outcome)
+    | exception e -> suspend proc fr (fun _ -> raise e)
+
+(* nothing interposed: the kernel is the only layer below us *)
 let to_kernel (proc : Proc.t) (env : Envelope.t) : Value.res =
-  (* nothing interposed: the kernel is the only layer below us *)
-  let reply =
-    Obs.in_layer ~span:(Envelope.span env) "kernel" (fun () ->
-        Effect.perform (Events.Trap (env, Events.App)))
-  in
-  deliver proc reply.deliver;
-  reply.res
+  kernel_call proc env Events.App
 
 (* The chain's jump target for slots with no handler installed:
    Proc sits below this module, so it reaches [to_kernel] through a
@@ -51,32 +93,22 @@ let () = Proc.chain_kernel_entry := fun env -> to_kernel (self ()) env
 
    The [Events.Cpu] perform captures the whole fibre continuation and
    round-trips through the run queue — by far the dominant *host* cost
-   of an interested trap (one perform per agent dispatch layer).  So we
-   replicate the scheduler's Cpu handler inline when, and only when,
-   doing so is observationally identical:
-
-   - no signal is pending, so [collect_deliverable] would return []
-     and [pending_terminal] would decide `None — nothing to deliver,
-     nobody to kill or stop;
-   - the run queue is empty, so the perform would re-enqueue this
-     continuation and pop it right back — no other fibre's turn is
-     being stolen;
-   - no timer is due at or before [now + us], so the scheduling point
-     the perform would create cannot fire one.
-
-   Every guard is a deterministic function of simulation state, so a
-   run makes exactly the same scheduling decisions every time.  When
-   any guard fails, the scheduler's Cpu handler does the work. *)
+   of an interested trap (one perform per agent dispatch layer).  So
+   the scheduler's Cpu handler is replicated inline under the guard
+   trap completion uses, [Kstate.may_continue], taken at [now + us]:
+   the scheduling point the perform would create comes after the
+   charge.  When it fails, the scheduler's Cpu handler does the work. *)
 let cpu_charge (proc : Proc.t) us : int list =
   match !Kstate.Ambient.current with
   | Some t
-    when proc.sigs.pending = 0
-         && Queue.is_empty t.Kstate.runq
-         && Kstate.next_timer_at t > Sim.Clock.now_us t.Kstate.clock + us ->
+    when Kstate.may_continue t proc
+           ~at:(Sim.Clock.now_us t.Kstate.clock + us) ->
     proc.utime_us <- proc.utime_us + us;
     Kstate.charge t us;
     []
-  | _ -> Effect.perform (Events.Cpu us)
+  | _ ->
+    Envelope.Stats.note_suspend ();
+    Effect.perform (Events.Cpu us)
 
 let trap_raw (env : Envelope.t) : Value.res =
   let proc = self () in
@@ -173,13 +205,7 @@ let syscall c =
         Envelope.at_boundary ?epool c)
 
 let htg_trap (env : Envelope.t) : Value.res =
-  let proc = self () in
-  let reply =
-    Obs.in_layer ~span:(Envelope.span env) "kernel" (fun () ->
-        Effect.perform (Events.Trap (env, Events.Htg)))
-  in
-  deliver proc reply.deliver;
-  reply.res
+  kernel_call (self ()) env Events.Htg
 
 let htg_unix_syscall w = htg_trap (Envelope.of_wire w)
 

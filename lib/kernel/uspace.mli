@@ -12,6 +12,20 @@
     Signals with user handlers are delivered on the way out of traps,
     through the agent's signal interposer when one is registered.
 
+    The kernel is the last procedure call down: a trap with no handler
+    left to run executes its kernel half ({!Trap.dispatch}) on the
+    caller's fibre.  When the outcome is a plain reply and
+    {!Kstate.may_continue} holds — the process still runnable, no
+    signal pending, an empty run queue, no timer due — the reply
+    returns directly, with no effect
+    performed.  Otherwise the stub performs {!Events.Suspend} once and
+    the scheduler settles the outcome ({!Trap.settle}).  CPU charges
+    ({!cpu_work} and the 30 µs intercept cost) run inline under the
+    same guard, or perform {!Events.Cpu}.  Each such perform counts in
+    the shard's [suspends] counter ({!Abi.Envelope.Stats}).  A kernel
+    exception is re-raised from the scheduler's side, never into the
+    application.
+
     When [Obs] tracing is enabled, every trap entry here opens a span
     and an outermost "uspace" layer frame (and, when no emulation
     handler is interposed, a "kernel" frame around the raw trap), so

@@ -446,15 +446,18 @@ let test_agent_deltas_declared () =
        (Agents.Record_replay.create_replayer ~journal:""
          :> Toolkit.Numeric.numeric_syscall))
 
-(* --- the inline CPU charge --------------------------------------------------- *)
+(* --- the inline CPU charge and trap completion ------------------------------- *)
 
 let charge_log =
   Alcotest.(pair int (list (triple string int int)))
 
 let test_charge_inline_matches_handler () =
   (* (a) all guards hold, (b) a timer due inside the window, (c) a
-     pending signal at an intercepted trap: the inline charge and the
-     scheduler's Cpu handler produce one timeline, the recorded one *)
+     pending signal at an intercepted trap, (d) a timer due inside a
+     trap, (e) a kill to self, (f) fork, a park on an empty pipe and a
+     SIGKILL to self: the inline charge and the scheduler's Cpu handler
+     produce one timeline, the one recorded before traps finished
+     inline *)
   let inline = Conformance.charge_log Kernel.Uspace.cpu_work in
   let handler = Conformance.charge_log Conformance.charge_by_handler in
   Alcotest.check charge_log "inline = Cpu handler" handler inline;

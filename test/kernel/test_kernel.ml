@@ -455,6 +455,136 @@ let test_isatty () =
   in
   Alcotest.(check int) "stdout is a tty" 0 (exit_code status)
 
+(* --- trap completion ------------------------------------------------------ *)
+
+(* Each trap's kernel half runs on the caller's fibre and returns
+   directly exactly when the scheduler would have popped the caller
+   straight back: no signal pending, an empty run queue, no timer due.
+   The [suspends] counter sees every hand-over to the scheduler. *)
+let test_inline_iff_guards () =
+  let k = Kernel.create () in
+  Kernel.populate_standard k;
+  let suspends () = (Kernel.codec_stats k).Envelope.Stats.suspends in
+  let counts = ref [] in
+  let count what f =
+    let s0 = suspends () in
+    f ();
+    counts := (what, suspends () - s0) :: !counts
+  in
+  let status =
+    Kernel.boot k ~name:"inline" (fun () ->
+      let open Libc.Unistd in
+      count "guards hold" (fun () ->
+        for _ = 1 to 100 do ignore (getppid ()) done;
+        cpu_work 1_000);
+      ignore (signal Signal.sigusr1 (Value.H_fn ignore));
+      count "kill to self" (fun () ->
+        ignore (kill (getpid ()) Signal.sigusr1));
+      ignore (signal Signal.sigalrm (Value.H_fn ignore));
+      ignore (alarm 1);
+      (* the 25 µs getppid crosses the deadline 10 µs in *)
+      cpu_work 999_990;
+      count "timer due inside the trap" (fun () -> ignore (getppid ()));
+      count "its signal at the next trap" (fun () -> ignore (getppid ()));
+      count "guards hold again" (fun () ->
+        for _ = 1 to 100 do ignore (getppid ()) done);
+      count "fork and reap" (fun () ->
+        let pid = check_ok "fork" (fork ~child:(fun () -> 0)) in
+        ignore (check_ok "wait" (waitpid pid 0)));
+      count "alone again" (fun () ->
+        for _ = 1 to 100 do ignore (getppid ()) done);
+      0)
+  in
+  Alcotest.(check int) "exit" 0 (exit_code status);
+  (* fork: the child is enqueued, so fork yields (1); the child's exit
+     trap never returns (1); the parent's wait then finds a zombie and
+     nothing pending (SIGCHLD's default action drops it when posted),
+     so it returns inline *)
+  Alcotest.(check (list (pair string int))) "suspends per case"
+    [ ("guards hold", 0); ("kill to self", 1);
+      ("timer due inside the trap", 1); ("its signal at the next trap", 1);
+      ("guards hold again", 0); ("fork and reap", 2); ("alone again", 0) ]
+    (List.rev !counts);
+  let json = Kernel.metrics_json k in
+  let codec_suspends =
+    Option.bind (Obs.Json.member "codec" json) (fun c ->
+        Option.bind (Obs.Json.member "suspends" c) Obs.Json.to_int)
+  in
+  Alcotest.(check (option int)) "metrics_json codec.suspends"
+    (Some (suspends ())) codec_suspends
+
+exception Kernel_fault
+
+(* A kernel exception surfaces from the scheduler, as it would from a
+   real kernel panic: it never unwinds through the application, so a
+   catch-all in user code cannot swallow it — on the inline path or
+   after a suspend. *)
+let test_kernel_exception_escapes_user_code () =
+  List.iter
+    (fun crowded ->
+      let k = Kernel.create () in
+      Kernel.populate_standard k;
+      Kernel.set_trace_hook k
+        (Some
+           (fun _ call _ ->
+             match call with Call.Getppid -> raise Kernel_fault | _ -> ()));
+      let swallowed = ref false and after = ref false in
+      let escaped =
+        match
+          Kernel.boot k ~name:"panic" (fun () ->
+            if crowded then
+              ignore
+                (check_ok "fork"
+                   (Libc.Unistd.fork ~child:(fun () -> 0)));
+            (try ignore (Libc.Unistd.getppid ())
+             with _ -> swallowed := true);
+            after := true;
+            0)
+        with
+        | _ -> false
+        | exception Kernel_fault -> true
+      in
+      let what = if crowded then "with a sibling" else "alone" in
+      Alcotest.(check bool) ("escapes to the scheduler, " ^ what) true escaped;
+      Alcotest.(check bool) ("user catch-all not run, " ^ what) false
+        !swallowed;
+      Alcotest.(check bool) ("caller not resumed, " ^ what) false !after)
+    [ false; true ]
+
+(* A killed process stays dead.  SIGKILL on a parked child
+   discontinues its fibre synchronously, inside the killer's kill.  If
+   the child's code catches [Process_killed] and traps again from its
+   own context, the trap must not finish inline: the scheduler
+   discards the fibre at that trap, so no code after it runs. *)
+let test_killed_fibre_discarded_at_next_trap () =
+  let caught = ref false and after = ref false in
+  let _, status = boot_with (fun () ->
+    let open Libc.Unistd in
+    let r, _w = check_ok "pipe" (pipe ()) in
+    let pid =
+      check_ok "fork"
+        (fork ~child:(fun () ->
+           let me = Kernel.Uspace.self () in
+           (try ignore (read r (Bytes.create 1) 1)
+            with Kernel.Events.Process_killed ->
+              caught := true;
+              Kernel.Proc.Cur.set (Some me));
+           ignore (getppid ());
+           after := true;
+           0))
+    in
+    (* let the child park on the empty pipe *)
+    ignore (sleep_us 1_000);
+    check_ok "kill" (kill pid Signal.sigkill);
+    let _, st = check_ok "wait" (waitpid pid 0) in
+    if Flags.Wait.wifsignaled st && Flags.Wait.wtermsig st = Signal.sigkill
+    then 0
+    else 1)
+  in
+  Alcotest.(check int) "child reaped as killed" 0 (exit_code status);
+  Alcotest.(check bool) "child caught the kill" true !caught;
+  Alcotest.(check bool) "code after the trap not run" false !after
+
 let () =
   Alcotest.run "kernel"
     [ "boot",
@@ -501,4 +631,11 @@ let () =
       "misc",
       [ Alcotest.test_case "gettimeofday" `Quick test_gettimeofday_monotonic;
         Alcotest.test_case "deadlock" `Quick test_deadlock_detected;
-        Alcotest.test_case "isatty" `Quick test_isatty ] ]
+        Alcotest.test_case "isatty" `Quick test_isatty ];
+      "trap completion",
+      [ Alcotest.test_case "inline iff the guards hold" `Quick
+          test_inline_iff_guards;
+        Alcotest.test_case "kernel exception escapes user code" `Quick
+          test_kernel_exception_escapes_user_code;
+        Alcotest.test_case "killed fibre discarded at its next trap" `Quick
+          test_killed_fibre_discarded_at_next_trap ] ]
