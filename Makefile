@@ -52,9 +52,11 @@ bench-host:
 	dune exec bench/main.exe -- hostspeed
 
 # No new module-level mutable state in lib/ outside the shard handle:
-# everything a kernel owns lives in the Kstate record, and the only
-# allowed globals are the allowlisted installed-instance cells
-# (tools/globals_allowlist.txt).
+# everything a kernel owns lives in the Kstate record or its obs
+# engine, and the only allowed globals are the two allowlisted
+# installed-instance cells, Obs's engine and Kstate's current shard
+# (tools/globals_allowlist.txt).  `dune runtest` runs the same check
+# (tools/dune), so tier-1 enforces it too.
 lint-globals:
 	tools/lint_globals.sh
 

@@ -21,37 +21,16 @@ module Stats = struct
   }
 
   (* The live counter set of one kernel shard (DESIGN.md §3.6): codec
-     work plus the record pools of every process in the shard.  The
-     shard installs its set on entry; envelopes and pools bump
-     whichever set is installed.  A default set exists from program
-     start so envelopes work outside any kernel. *)
-  type t = {
-    mutable c_traps : int;
-    mutable c_chained : int;
-    mutable c_fast_path : int;
-    mutable c_decodes : int;
-    mutable c_encodes : int;
-    mutable c_crossings : int;
-    mutable c_agent_calls : int;
-    mutable c_suspends : int;
-    mutable c_pool_hits : int;
-    mutable c_pool_misses : int;
-    mutable c_pool_recycled : int;
-    mutable c_pool_dropped : int;
-  }
+     work plus the record pools of every process in the shard.  It
+     lives on the shard's obs engine, so entering a shard installs it
+     with the engine; envelopes and pools bump whichever set is
+     installed.  The default engine's set exists from program start so
+     envelopes work outside any kernel. *)
+  type t = Obs.counters
 
-  let create () =
-    { c_traps = 0; c_chained = 0; c_fast_path = 0;
-      c_decodes = 0; c_encodes = 0; c_crossings = 0; c_agent_calls = 0;
-      c_suspends = 0;
-      c_pool_hits = 0; c_pool_misses = 0; c_pool_recycled = 0;
-      c_pool_dropped = 0 }
+  let installed = Obs.counters
 
-  let cur : t ref = ref (create ())
-  let install c = cur := c
-  let installed () = !cur
-
-  let snapshot_of c =
+  let snapshot_of (c : t) =
     {
       traps = c.c_traps;
       chained = c.c_chained;
@@ -63,7 +42,7 @@ module Stats = struct
       suspends = c.c_suspends;
     }
 
-  let reset_of c =
+  let reset_of (c : t) =
     c.c_traps <- 0;
     c.c_chained <- 0;
     c.c_fast_path <- 0;
@@ -109,7 +88,7 @@ module Stats = struct
         ("suspends", Obs.Json.Int s.suspends);
       ]
 
-  let pool_snapshot_of c =
+  let pool_snapshot_of (c : t) =
     { hits = c.c_pool_hits; misses = c.c_pool_misses;
       recycled = c.c_pool_recycled; dropped = c.c_pool_dropped }
 
@@ -127,33 +106,33 @@ module Stats = struct
         ("dropped", Obs.Json.Int s.dropped) ]
 
   let note_trap_chained () =
-    let c = !cur in
+    let c = installed () in
     c.c_traps <- c.c_traps + 1;
     c.c_chained <- c.c_chained + 1
 
   let note_trap_fast () =
-    let c = !cur in
+    let c = installed () in
     c.c_traps <- c.c_traps + 1;
     c.c_fast_path <- c.c_fast_path + 1
 
   let note_crossing () =
-    let c = !cur in
+    let c = installed () in
     c.c_crossings <- c.c_crossings + 1
 
   let note_agent_call () =
-    let c = !cur in
+    let c = installed () in
     c.c_agent_calls <- c.c_agent_calls + 1
 
   let note_suspend () =
-    let c = !cur in
+    let c = installed () in
     c.c_suspends <- c.c_suspends + 1
 
   let note_decode () =
-    let c = !cur in
+    let c = installed () in
     c.c_decodes <- c.c_decodes + 1
 
   let note_encode () =
-    let c = !cur in
+    let c = installed () in
     c.c_encodes <- c.c_encodes + 1
 end
 
@@ -213,23 +192,23 @@ module Pool = struct
      [blank] builds), so [take] only refills the fields the new trap
      needs. *)
   let take p =
-    let c = !Stats.cur in
+    let c = Stats.installed () in
     if p.elen = 0 then begin
-      c.Stats.c_pool_misses <- c.Stats.c_pool_misses + 1;
+      c.c_pool_misses <- c.c_pool_misses + 1;
       blank ()
     end
     else begin
       p.elen <- p.elen - 1;
       let e = p.estack.(p.elen) in
       p.estack.(p.elen) <- dummy;
-      c.Stats.c_pool_hits <- c.Stats.c_pool_hits + 1;
+      c.c_pool_hits <- c.c_pool_hits + 1;
       e
     end
 
   let recycle p e =
-    let c = !Stats.cur in
+    let c = Stats.installed () in
     if p.elen >= capacity then
-      c.Stats.c_pool_dropped <- c.Stats.c_pool_dropped + 1
+      c.c_pool_dropped <- c.c_pool_dropped + 1
     else begin
       e.num <- 0;
       e.wire <- None;
@@ -238,7 +217,7 @@ module Pool = struct
       e.ehome <- None;
       p.estack.(p.elen) <- e;
       p.elen <- p.elen + 1;
-      c.Stats.c_pool_recycled <- c.Stats.c_pool_recycled + 1
+      c.c_pool_recycled <- c.c_pool_recycled + 1
     end
 end
 

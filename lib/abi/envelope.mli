@@ -145,10 +145,10 @@ val set_span : t -> int -> unit
     Counters over every envelope of one kernel shard, bumped only when
     real codec work happens (memoized hits are free), and the shard's
     record-pool counters next to them.  A live counter
-    set ({!Stats.t}) is owned by its [Kernel.t] and installed whenever
-    that shard runs (DESIGN.md §3.6), so two kernels in one process
-    account independently; a default set is installed at program start
-    for envelope use outside any kernel.  The bench harness and the
+    set ({!Stats.t}) is carried by its shard's obs engine and installed
+    with that engine whenever the shard runs (DESIGN.md §3.6), so two
+    kernels in one process account independently; the default engine's
+    set serves envelope use outside any kernel.  The bench harness and the
     test suite take {!Stats.snapshot}s around a workload and check
     invariants on the {!Stats.diff}: e.g. under a stack of null
     symbolic agents, [decodes = traps] exactly — one decode per
@@ -171,19 +171,13 @@ module Stats : sig
             trap on a single-process loop at any depth *)
   }
 
-  type t
-  (** A live counter set (one per kernel shard). *)
-
-  val create : unit -> t
-  (** A fresh, zeroed set. *)
-
-  val install : t -> unit
-  (** Make [c] the set envelope codec work bumps.  [Kernel] installs
-      the running shard's set on entry; agent and test code should not
-      normally need this. *)
+  type t = Obs.counters
+  (** A live counter set (one per kernel shard, on its obs engine). *)
 
   val installed : unit -> t
-  (** The set currently receiving counts. *)
+  (** The set currently receiving counts: the installed engine's
+      ({!Obs.counters}).  Entering a shard installs its engine, and
+      with it its set. *)
 
   val snapshot_of : t -> snapshot
   (** Read a specific shard's counters ([Kernel.codec_stats] is
@@ -191,7 +185,7 @@ module Stats : sig
 
   val reset_of : t -> unit
   (** Zero every counter (codec and pool) of a set you own — e.g. a
-      scratch set under test.  The old mid-session hygiene problem is
+      scratch engine's set under test.  The old mid-session hygiene problem is
       structurally gone: resetting one shard's counters cannot disturb
       another shard's open measurement window.  Within a shard, still
       prefer {!diff} over zeroing. *)

@@ -300,7 +300,7 @@ let verdict_to_json v =
        until the child writes, and the child's kill to self with
        SIGKILL ends it at that trap. *)
 let charge_by_handler us =
-  let proc = Kernel.Proc.Cur.get_exn () in
+  let proc = Kernel.Uspace.self () in
   List.iter (Kernel.Uspace.deliver_app proc)
     (Effect.perform (Kernel.Events.Cpu us))
 
@@ -308,7 +308,7 @@ let charge_log charge =
   let open Libc.Unistd in
   let k = Kernel.create () in
   let now () = Sim.Clock.now_us (Kernel.clock k) in
-  let utime () = (Kernel.Proc.Cur.get_exn ()).Kernel.Proc.utime_us in
+  let utime () = (Kernel.Uspace.self ()).Kernel.Proc.utime_us in
   let log = ref [] and t0 = ref 0 and u0 = ref 0 in
   let note what = log := (what, now () - !t0, utime () - !u0) :: !log in
   let status =

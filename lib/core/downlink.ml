@@ -51,9 +51,9 @@ let down t (env : Envelope.t) =
 let down_call t c =
   Envelope.Stats.note_agent_call ();
   let epool =
-    match Kernel.Proc.Cur.get () with
-    | Some proc -> proc.Kernel.Proc.env_pool
-    | None -> None
+    match Kernel.current () with
+    | Some { Kernel.Kstate.running = Some proc; _ } -> proc.Kernel.Proc.env_pool
+    | Some _ | None -> None
   in
   let env = Envelope.of_call ?epool c in
   let res = down t env in

@@ -43,14 +43,13 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
             Kstate.do_exit t proc (Flags.Wait.sig_status Signal.sigabrt));
       effc =
         (fun (type a) (eff : a Effect.t) ->
+          (* whatever the effect, the fibre has stopped running *)
+          t.running <- None;
           match eff with
           | Events.Suspend settle ->
-            Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
-              settle k)
+            Some (fun (k : (a, unit) continuation) -> settle k)
           | Events.Cpu us ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
               proc.utime_us <- proc.utime_us + us;
               Kstate.charge t us;
               let deliver = Kstate.collect_deliverable t proc in
@@ -58,20 +57,17 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
                | `Kill (s, status) ->
                  proc.sigs.pending <-
                    Signal.Mask.remove proc.sigs.pending s;
-                 Kstate.do_exit t proc status;
-                 Trap.discard k
+                 Kstate.terminate_fiber t proc k status
                | `Stop _ | `None ->
                  (* stops at a pure compute point are deferred to the
                     next trap *)
                  Trap.enqueue_resume t proc k deliver))
           | Events.Exec_load spec ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
               ignore (k : (a, unit) continuation);
               Trap.start_exec t proc spec)
           | Events.Set_emulation (numbers, handler) ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
               (* the chain slot is the handler closure itself (no
                  per-trap option match), or the canonical kernel jump
                  when cleared *)
@@ -88,7 +84,6 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
               Trap.enqueue_resume t proc k ())
           | Events.Get_emulation n ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
               let chain = proc.emul.chain in
               let h =
                 if n < 0 || n >= Array.length chain then None
@@ -99,23 +94,16 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
               Trap.enqueue_resume t proc k h)
           | Events.Set_emulation_signal h ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
               proc.emul.sig_emul <- h;
               Trap.enqueue_resume t proc k ())
           | Events.Get_emulation_signal ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
               Trap.enqueue_resume t proc k proc.emul.sig_emul)
           | _ -> None) }
 
 let enqueue_start (t : t) (proc : Proc.t) (body : unit -> int) =
   Kstate.enqueue t (fun () ->
-    match proc.state with
-    | Proc.Runnable ->
-      Proc.Cur.set (Some proc);
-      run_fiber t proc body;
-      Proc.Cur.set None
-    | Proc.Zombie | Proc.Reaped | Proc.Parked _ | Proc.Stopped _ -> ())
+    ignore (Kstate.run_as t proc (run_fiber t) proc body))
 
 (* --- the scheduler --------------------------------------------------------- *)
 
@@ -166,12 +154,8 @@ let kill_stragglers (t : t) =
         m "deadlock: killing pid %d (%s)" p.pid p.name);
       t.deadlock_kills <- t.deadlock_kills + 1;
       match p.state with
-      | Proc.Parked park ->
-        Kstate.do_exit t p (Flags.Wait.sig_status Signal.sigkill);
-        Trap.discard park.k
-      | Proc.Stopped st ->
-        Kstate.do_exit t p (Flags.Wait.sig_status Signal.sigkill);
-        Trap.discard st.sk
+      | Proc.Parked { k; _ } | Proc.Stopped { sk = k; _ } ->
+        Kstate.terminate_fiber t p k (Flags.Wait.sig_status Signal.sigkill)
       | Proc.Runnable | Proc.Zombie | Proc.Reaped -> ())
     stragglers;
   stragglers <> []
@@ -212,14 +196,13 @@ let rec sched_loop (t : t) =
 
 (* --- entering a shard --------------------------------------------------------- *)
 
-(* Install [t]'s shard-owned pieces — obs engine, codec and pool
-   counter set, current-process cell, ambient handle — as the ones the
-   handle-less code paths (envelope codecs, uspace stubs, agents)
-   reach.  The moral equivalent of loading a CPU's task register. *)
+(* Install [t] as the shard the handle-less code paths (envelope
+   codecs, uspace stubs, agents) reach: its obs engine, which carries
+   its codec and pool counters, and the handle itself, which carries
+   its running process.  The moral equivalent of loading a CPU's task
+   register. *)
 let enter (t : t) =
   Obs.install t.obs;
-  Envelope.Stats.install t.codec;
-  Proc.Cur.install t.cur;
   Kstate.Ambient.current := Some t
 
 (* Enter [t] for the duration of [f], restoring whatever was installed
@@ -227,15 +210,11 @@ let enter (t : t) =
    with this. *)
 let with_shard (t : t) f =
   let prev_obs = Obs.installed () in
-  let prev_codec = Envelope.Stats.installed () in
-  let prev_cur = Proc.Cur.installed () in
   let prev_amb = !Kstate.Ambient.current in
   enter t;
   Fun.protect
     ~finally:(fun () ->
       Obs.install prev_obs;
-      Envelope.Stats.install prev_codec;
-      Proc.Cur.install prev_cur;
       Kstate.Ambient.current := prev_amb)
     f
 
@@ -251,14 +230,15 @@ let current_exn () =
 let create ?shard_id () =
   let t = Kstate.create ?shard_id () in
   t.hooks <-
-    { Kstate.spawn = (fun proc body -> enqueue_start t proc body);
+    { t.hooks with
+      Kstate.spawn = (fun proc body -> enqueue_start t proc body);
       retry = (fun proc -> Trap.retry t proc) };
   (* give this shard's observability engine this shard's clock and
      current-process context; they live and die with the handle *)
   Obs.with_engine t.obs (fun () ->
     Obs.set_clock (fun () -> Sim.Clock.now_us t.clock);
     Obs.set_context (fun () ->
-        match Proc.Cur.get () with Some p -> p.Proc.pid | None -> 0);
+        match t.running with Some p -> p.Proc.pid | None -> 0);
     (* causal edge endpoints carry the shard id — span ids are unique
        only per engine (DESIGN.md §3.9) *)
     Obs.set_shard t.shard_id);
@@ -284,6 +264,17 @@ let open_tty_fds (t : t) (proc : Proc.t) =
    per shard and drives them all. *)
 let spawn_init (t : t) ~name body =
   let pid = Kstate.alloc_pid t in
+  if pid = 1 then begin
+    (* baselines of [host_stats], taken here so that host-side set-up
+       before boot is not counted as trap work.  [Gc.minor_words] reads
+       the live allocation pointer; [quick_stat]'s field lags until the
+       next minor collection *)
+    let q = Gc.quick_stat () in
+    t.host_cpu_t0 <- Sys.time ();
+    t.host_minor_words_t0 <- Gc.minor_words ();
+    t.host_promoted_words_t0 <- q.Gc.promoted_words;
+    t.host_major_collections_t0 <- q.Gc.major_collections
+  end;
   let proc =
     Proc.create ~pid ~ppid:0 ~pgrp:pid ~name
       ~cred:Vfs.Fs.root_cred ~cwd:(Vfs.Fs.root_ino t.fs)
@@ -395,10 +386,10 @@ let shard_id (t : t) = t.shard_id
 let registry (t : t) = t.registry
 let register_image (t : t) name image = Registry.register t.registry name image
 
-let codec_stats (t : t) = Envelope.Stats.snapshot_of t.codec
-let reset_codec_stats (t : t) = Envelope.Stats.reset_of t.codec
-
-let env_pool_stats (t : t) = Envelope.Stats.pool_snapshot_of t.codec
+let codec_stats (t : t) = Envelope.Stats.snapshot_of (Obs.counters_of t.obs)
+let reset_codec_stats (t : t) = Envelope.Stats.reset_of (Obs.counters_of t.obs)
+let env_pool_stats (t : t) =
+  Envelope.Stats.pool_snapshot_of (Obs.counters_of t.obs)
 
 let metrics (t : t) = Obs.metrics_of t.obs
 
@@ -406,14 +397,14 @@ let metrics (t : t) = Obs.metrics_of t.obs
 
 (* Raw-speed counters next to the virtual tables: how much *host* CPU
    and allocation the shard has burned per simulated trap since its
-   creation.  [Sys.time]/GC counters are process-wide (this library
-   deliberately has no unix dependency), so these are estimates —
-   exact when one shard dominates the process, which is the common
-   deployment; the bench hostspeed harness measures tight windows with
+   first process started.  [Sys.time]/GC counters are process-wide
+   (this library deliberately has no unix dependency), so these are
+   estimates — exact when one shard dominates the process, which is
+   the common deployment; the bench hostspeed harness measures tight windows with
    its own clocks when precision matters. *)
 type host_stats = {
   h_traps : int;
-  h_cpu_s : float;              (* process CPU since shard creation *)
+  h_cpu_s : float;      (* process CPU since the shard's first process *)
   h_ns_per_trap : float;
   h_minor_words_per_trap : float;
   h_promoted_words : float;
@@ -423,7 +414,7 @@ type host_stats = {
 
 let host_stats (t : t) =
   let q = Gc.quick_stat () in
-  let traps = (Envelope.Stats.snapshot_of t.codec).Envelope.Stats.traps in
+  let traps = (codec_stats t).Envelope.Stats.traps in
   let cpu = Sys.time () -. t.host_cpu_t0 in
   let per d n = if d > 0 then n /. float_of_int d else 0.0 in
   let rate (hits : int) (misses : int) =
@@ -485,7 +476,7 @@ let watch_verdicts (t : t) =
 
 let metrics_json (t : t) =
   let base = Obs.metrics_to_json ~name:Abi.Sysno.name (Obs.metrics_of t.obs) in
-  let codec = Envelope.Stats.to_json (Envelope.Stats.snapshot_of t.codec) in
+  let codec = Envelope.Stats.to_json (codec_stats t) in
   let epool = Envelope.Stats.pool_to_json (env_pool_stats t) in
   let host = host_stats_json (host_stats t) in
   let watchdogs = Obs.Watch.verdicts_to_json (watch_verdicts t) in
@@ -551,17 +542,36 @@ module Cluster = struct
     mutable seq : int;
   }
 
-  (* The cluster currently being driven by [run], for in-fibre [send]
-     (allowlisted global; installed/restored by [run]). *)
-  let running : t option ref = ref None
+  let enqueue_mail c (src : Kstate.t) ~dst ~pid ~signal =
+    if dst < 0 || dst >= Array.length c.shards then
+      invalid_arg "Cluster.send: no such shard";
+    (* runs in the sending fibre, its engine installed: the origin
+       stamp is the sender's innermost open span *)
+    let o_shard, o_span, o_pid = Obs.causal_origin () in
+    c.seq <- c.seq + 1;
+    c.mailbox <-
+      { m_ts = Sim.Clock.now_us src.Kstate.clock;
+        m_src = src.Kstate.shard_id;
+        m_seq = c.seq;
+        m_dst = dst;
+        m_ev = Post_signal { pid; signal; o_shard; o_span; o_pid } }
+      :: c.mailbox
 
   let default_quantum_us = 50_000
 
   let create ?(quantum_us = default_quantum_us) ~shards:n () =
     if n < 1 then invalid_arg "Cluster.create: need at least one shard";
     if quantum_us < 1 then invalid_arg "Cluster.create: quantum must be positive";
-    { shards = Array.init n (fun i -> create ~shard_id:i ());
-      quantum_us; mailbox = []; seq = 0 }
+    let c =
+      { shards = Array.init n (fun i -> create ~shard_id:i ());
+        quantum_us; mailbox = []; seq = 0 }
+    in
+    (* in-fibre [send] reaches the cluster through the sending shard *)
+    Array.iter
+      (fun (t : Kstate.t) ->
+        t.hooks <- { t.hooks with Kstate.send = enqueue_mail c t })
+      c.shards;
+    c
 
   let shards c = Array.length c.shards
   let shard c i = c.shards.(i)
@@ -571,23 +581,9 @@ module Cluster = struct
     with_shard t (fun () -> spawn_init t ~name body)
 
   let send ~dst ~pid ~signal =
-    match !running with
-    | None -> invalid_arg "Cluster.send: no cluster is running"
-    | Some c ->
-      if dst < 0 || dst >= Array.length c.shards then
-        invalid_arg "Cluster.send: no such shard";
-      let src = current_exn () in
-      (* runs in the sending fibre, its engine installed: the origin
-         stamp is the sender's innermost open span *)
-      let o_shard, o_span, o_pid = Obs.causal_origin () in
-      c.seq <- c.seq + 1;
-      c.mailbox <-
-        { m_ts = Sim.Clock.now_us src.Kstate.clock;
-          m_src = src.Kstate.shard_id;
-          m_seq = c.seq;
-          m_dst = dst;
-          m_ev = Post_signal { pid; signal; o_shard; o_span; o_pid } }
-        :: c.mailbox
+    match current () with
+    | Some t -> t.hooks.send ~dst ~pid ~signal
+    | None -> invalid_arg "Cluster.send: no current shard"
 
   let deliver c horizon =
     let due, later =
@@ -619,9 +615,6 @@ module Cluster = struct
       true
 
   let run c =
-    let prev = !running in
-    running := Some c;
-    Fun.protect ~finally:(fun () -> running := prev) @@ fun () ->
     let n = Array.length c.shards in
     (* Run every shard up to [horizon], re-delivering any mail that
        lands inside the window, until the whole cluster is quiescent at
@@ -668,7 +661,7 @@ module Cluster = struct
     let codec =
       Array.fold_left
         (fun (acc : Envelope.Stats.snapshot) s ->
-          let x = Envelope.Stats.snapshot_of s.Kstate.codec in
+          let x = codec_stats s in
           {
             Envelope.Stats.traps = acc.traps + x.traps;
             chained = acc.chained + x.chained;
@@ -694,7 +687,7 @@ module Cluster = struct
     let epool =
       Array.fold_left
         (fun (acc : Envelope.Stats.pool_snapshot) s ->
-          let x = Envelope.Stats.pool_snapshot_of s.Kstate.codec in
+          let x = env_pool_stats s in
           {
             Envelope.Stats.hits = acc.hits + x.hits;
             misses = acc.misses + x.misses;

@@ -3,8 +3,9 @@
 
     A kernel instance — a {e shard} (DESIGN.md §3.6) — owns a virtual
     clock, a filesystem, a console, a process table, an executable
-    {!Registry}, an [Obs] engine, codec and record-pool counters and a
-    current-process cell.  Nothing about a session is module-global:
+    {!Registry}, an [Obs] engine (which carries its codec and
+    record-pool counters) and its running process.  Nothing about a
+    session is module-global:
     two kernels coexist in one OCaml process without observing each
     other, and {!Cluster} drives N of them deterministically.  [boot]
     starts pid 1 on a program body and runs the cooperative scheduler
@@ -50,7 +51,8 @@ val create : ?shard_id:int -> unit -> t
     Code on the trap path — envelope codecs, uspace stubs, in-fibre
     agents — holds no handle; it reaches the right kernel through the
     ambient current shard, which {!enter} installs together with the
-    shard's obs engine, codec/pool counters and current-process cell. *)
+    shard's obs engine (and with it the codec and pool counters).  The
+    running process is a field of the shard. *)
 
 val enter : t -> unit
 (** Make [t] the current shard.  {!create} and {!boot} call this;
@@ -59,7 +61,7 @@ val enter : t -> unit
 
 val with_shard : t -> (unit -> 'a) -> 'a
 (** Run [f] with [t] entered, restoring the previously current shard
-    afterwards (exception-safe).  This is how {!Cluster} multiplexes
+    and engine afterwards (exception-safe).  This is how {!Cluster} multiplexes
     shards. *)
 
 val current : unit -> t option
@@ -136,15 +138,16 @@ val env_pool_stats : t -> Abi.Envelope.Stats.pool_snapshot
     contract.  Also exported as the ["env_pool"] member of
     {!metrics_json}. *)
 
-(** Host-side (wall/GC) cost estimates for one shard since its
-    creation, next to the virtual tables: the ["host"] block of
+(** Host-side (wall/GC) cost estimates for one shard since its first
+    process started (host-side set-up before boot is excluded), next
+    to the virtual tables: the ["host"] block of
     {!metrics_json} and the [\[host\]] section of
     [agentrun --metrics].  Derived from process-wide [Sys.time] and GC
     counters, so per-trap figures are estimates — exact when one shard
     dominates the process. *)
 type host_stats = {
   h_traps : int;
-  h_cpu_s : float;
+  h_cpu_s : float;  (** process CPU since the shard's first process *)
   h_ns_per_trap : float;
   h_minor_words_per_trap : float;
   h_promoted_words : float;
@@ -265,8 +268,11 @@ module Cluster : sig
   val send : dst:int -> pid:int -> signal:int -> unit
   (** In-fibre: mail a signal to process [pid] of shard [dst], stamped
       with the sending shard's current virtual time.  Delivered at the
-      next quantum boundary.  Raises [Invalid_argument] outside
-      {!run} or for an unknown shard. *)
+      next quantum boundary.  It reaches the cluster through the
+      current shard's [send] hook, which {!create} sets on every member.
+      Raises [Invalid_argument] when the current shard belongs to no
+      cluster (outside {!run}, the shard that was current before it is
+      current again) or for an unknown shard. *)
 
   val metrics : t -> Obs.metrics
   (** Cluster-wide aggregate over every shard's obs engine: exact

@@ -25,6 +25,7 @@ type outcome =
 type hooks = {
   spawn : Proc.t -> (unit -> int) -> unit;
   retry : Proc.t -> unit;
+  send : dst:int -> pid:int -> signal:int -> unit;
 }
 
 type t = {
@@ -39,12 +40,11 @@ type t = {
   bindings : (string, File.sock) Hashtbl.t;
   registry : Registry.t;
   obs : Obs.engine;
-  codec : Envelope.Stats.t;
-  cur : Proc.Cur.cell;
-  host_cpu_t0 : float;
-  host_minor_words_t0 : float;
-  host_promoted_words_t0 : float;
-  host_major_collections_t0 : int;
+  mutable running : Proc.t option;
+  mutable host_cpu_t0 : float;
+  mutable host_minor_words_t0 : float;
+  mutable host_promoted_words_t0 : float;
+  mutable host_major_collections_t0 : int;
   mutable timers : (int * timer_event) list;
   mutable next_pid : int;
   mutable next_file_id : int;
@@ -62,18 +62,15 @@ type t = {
 let no_hooks = {
   spawn = (fun _ _ -> failwith "Kstate: hooks not installed");
   retry = (fun _ -> failwith "Kstate: hooks not installed");
+  send =
+    (fun ~dst:_ ~pid:_ ~signal:_ ->
+      invalid_arg "Cluster.send: the current shard is not in a cluster");
 }
 
 let create ?(shard_id = 0) () =
   let clock = Sim.Clock.create () in
   let fs = Vfs.Fs.create ~now:(fun () -> Sim.Clock.now_us clock / 1_000_000) () in
   let console = Dev.Console.create () in
-  (* host-side baselines for the `host` metrics block: process CPU
-     time (Sys.time — this library has no unix dependency) and GC
-     counters at shard creation.  Both are process-wide, so the
-     derived per-trap figures are estimates, exact only when one shard
-     dominates the process (the common case: one kernel per run). *)
-  let q = Gc.quick_stat () in
   { shard_id; clock; fs; console;
     devs = Dev.standard_table console;
     procs = Hashtbl.create 32;
@@ -86,14 +83,11 @@ let create ?(shard_id = 0) () =
        set up before [Kernel.create] still applies *)
     registry = Registry.create ();
     obs = Obs.engine_like (Obs.installed ());
-    codec = Envelope.Stats.create ();
-    cur = Proc.Cur.cell ();
-    host_cpu_t0 = Sys.time ();
-    (* [Gc.minor_words] reads the live allocation pointer;
-       [quick_stat]'s field lags until the next minor collection *)
-    host_minor_words_t0 = Gc.minor_words ();
-    host_promoted_words_t0 = q.Gc.promoted_words;
-    host_major_collections_t0 = q.Gc.major_collections;
+    running = None;
+    host_cpu_t0 = 0.;
+    host_minor_words_t0 = 0.;
+    host_promoted_words_t0 = 0.;
+    host_major_collections_t0 = 0;
     timers = [];
     next_pid = 1;
     next_file_id = 1;
@@ -111,9 +105,10 @@ let create ?(shard_id = 0) () =
 
 (* The one place the "which kernel is running?" question is answered
    for code that holds no handle (in-fibre agents, the C-library
-   stubs).  [Kernel.enter] installs a shard here together with its
-   obs/codec/pool/cur pieces; this ref is on the globals-lint
-   allowlist. *)
+   stubs); the shard's [running] field answers "which process?".
+   [Kernel.enter] installs a shard here together with its obs engine
+   (which carries the codec and pool counters); this ref is on the
+   globals-lint allowlist. *)
 module Ambient = struct
   let current : t option ref = ref None
 end
@@ -237,6 +232,14 @@ let next_timer t =
 let next_timer_at t =
   match t.timers with [] -> max_int | (at, _) :: _ -> at
 
+(* The liveness re-check every resumption makes: the process may have
+   been killed (or, in principle, re-parked) while its resumption sat
+   in the run queue. *)
+let runnable (p : Proc.t) =
+  match p.state with
+  | Proc.Runnable -> true
+  | Proc.Parked _ | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> false
+
 (* May the running fibre of [p] carry on past a scheduling point at
    virtual time [at] without handing control to the scheduler?  Yes
    exactly when handing it over would change nothing:
@@ -253,13 +256,38 @@ let next_timer_at t =
    A deterministic function of simulation state: a run makes the same
    decisions every time. *)
 let may_continue t (p : Proc.t) ~at =
-  (match p.state with
-   | Proc.Runnable -> true
-   | Proc.Parked _ | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> false)
-  && p.sigs.pending = 0 && Queue.is_empty t.runq && next_timer_at t > at
+  runnable p && p.sigs.pending = 0 && Queue.is_empty t.runq
+  && next_timer_at t > at
 
 let pop_timer t =
   match t.timers with [] -> () | _ :: tl -> t.timers <- tl
+
+(* --- running fibres ------------------------------------------------------ *)
+
+(* End a fibre: discontinue it with [Process_killed], swallowing
+   whatever it raises on the way out. *)
+let discard k =
+  try Effect.Deep.discontinue k Events.Process_killed
+  with Events.Process_killed | _ -> ()
+
+(* The one way a fibre runs from the run queue: [go a b] with [p] as
+   the shard's running process, provided [p] is still [runnable].
+   [false], having run nothing, otherwise.  The scheduler's effect
+   handler clears [running] when the fibre next performs; the clear
+   here covers a fibre that finishes. *)
+let run_as t (p : Proc.t) go a b =
+  if runnable p then begin
+    t.running <- Some p;
+    go a b;
+    t.running <- None;
+    true
+  end
+  else false
+
+(* Continue [p]'s suspended fibre with [v], or discard it if [p] is no
+   longer runnable. *)
+let resume t p k v =
+  if not (run_as t p Effect.Deep.continue k v) then discard k
 
 (* --- open files --------------------------------------------------------- *)
 
@@ -470,7 +498,7 @@ and act_on_pending t (p : Proc.t) s =
       (match p.state with
        | Proc.Stopped st ->
          p.state <- Proc.Runnable;
-         enqueue t (fun () -> resume_stopped p st)
+         enqueue t (fun () -> resume t p st.sk st.reply)
        | Proc.Runnable | Proc.Parked _ | Proc.Zombie | Proc.Reaped -> ())
     | `Terminate ->
       (match p.state with
@@ -501,7 +529,7 @@ and act_on_pending t (p : Proc.t) s =
          let reply =
            { Events.res = Error Errno.EINTR; deliver = [ s ] }
          in
-         enqueue t (fun () -> resume_parked p park reply)
+         enqueue t (fun () -> resume t p park.k reply)
        | Proc.Runnable | Proc.Stopped _ | Proc.Zombie | Proc.Reaped ->
          (* delivered at the next trap boundary *)
          ())
@@ -513,32 +541,11 @@ and act_on_pending t (p : Proc.t) s =
          ()
        | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> clear_pending p s)
 
-and resume_parked (p : Proc.t) (park : Proc.park) reply =
-  match p.state with
-  | Proc.Runnable ->
-    Proc.Cur.set (Some p);
-    Effect.Deep.continue park.k reply;
-    Proc.Cur.set None
-  | Proc.Zombie | Proc.Reaped ->
-    (try Effect.Deep.discontinue park.k Events.Process_killed
-     with Events.Process_killed | _ -> ())
-  | Proc.Parked _ | Proc.Stopped _ -> ()
-
-and resume_stopped (p : Proc.t) (st : Proc.stopped) =
-  match p.state with
-  | Proc.Runnable ->
-    Proc.Cur.set (Some p);
-    Effect.Deep.continue st.sk st.reply;
-    Proc.Cur.set None
-  | Proc.Zombie | Proc.Reaped ->
-    (try Effect.Deep.discontinue st.sk Events.Process_killed
-     with Events.Process_killed | _ -> ())
-  | Proc.Parked _ | Proc.Stopped _ -> ()
-
-and terminate_fiber t (p : Proc.t) k status =
+and terminate_fiber :
+  'a. t -> Proc.t -> ('a, unit) Effect.Deep.continuation -> int -> unit =
+  fun t p k status ->
   do_exit t p status;
-  (try Effect.Deep.discontinue k Events.Process_killed
-   with Events.Process_killed | _ -> ())
+  discard k
 
 and do_exit t (p : Proc.t) status =
   (match p.state with
@@ -605,7 +612,7 @@ let collect_deliverable _t (p : Proc.t) =
 
 let wake_parked_with t (p : Proc.t) (park : Proc.park) reply =
   p.state <- Proc.Runnable;
-  enqueue t (fun () -> resume_parked p park reply)
+  enqueue t (fun () -> resume t p park.k reply)
 
 (* --- trace hooks -------------------------------------------------------- *)
 

@@ -36,6 +36,10 @@ type hooks = {
       (** enqueue a fresh fibre for an (already registered) process *)
   retry : Proc.t -> unit;
       (** make a parked process re-attempt its system call *)
+  send : dst:int -> pid:int -> signal:int -> unit;
+      (** [Kernel.Cluster.send] from a fibre of this shard: mail a
+          signal to another shard of the same cluster.  Raises
+          [Invalid_argument] on a shard outside any cluster *)
 }
 
 type t = {
@@ -52,14 +56,20 @@ type t = {
           conflict), [connect] resolves one, closing the bound or
           listening socket releases it *)
   registry : Registry.t;           (** shard-owned executable images *)
-  obs : Obs.engine;                (** shard-owned observability engine *)
-  codec : Abi.Envelope.Stats.t;
-      (** shard-owned codec and envelope-record-pool counters *)
-  cur : Proc.Cur.cell;             (** shard-owned current process *)
-  host_cpu_t0 : float;             (** [Sys.time] at shard creation *)
-  host_minor_words_t0 : float;     (** GC baselines at shard creation, *)
-  host_promoted_words_t0 : float;  (** for the [host] metrics block *)
-  host_major_collections_t0 : int;
+  obs : Obs.engine;
+      (** shard-owned observability engine, carrying the shard's codec
+          and envelope-record-pool counters ([Obs.counters_of]) *)
+  mutable running : Proc.t option;
+      (** the process whose fibre is running, [None] between fibres
+          and while the kernel half of a trap runs.  Written only by
+          {!run_as}, the scheduler's effect handler and the inline
+          trap bracket in [Uspace.kernel_call] *)
+  mutable host_cpu_t0 : float;
+      (** [Sys.time] when the shard's first process started *)
+  mutable host_minor_words_t0 : float;
+      (** GC baselines taken with it, for the [host] metrics block *)
+  mutable host_promoted_words_t0 : float;
+  mutable host_major_collections_t0 : int;
   mutable timers : (int * timer_event) list;  (** sorted by time *)
   mutable next_pid : int;
   mutable next_file_id : int;
@@ -85,9 +95,12 @@ val create : ?shard_id:int -> unit -> t
     call order. *)
 
 (** The ambient current shard: which kernel's state in-fibre code that
-    holds no handle (agents, the C-library stubs) should reach.
-    [Kernel.enter] maintains it; read it via [Kernel.current].  On the
-    globals-lint allowlist. *)
+    holds no handle (agents, the C-library stubs) should reach, and
+    through its {!field-running} field which process.  [Kernel.enter]
+    maintains it together with [Obs.install]; read it via
+    [Kernel.current].  One of the two installed-instance cells on the
+    globals-lint allowlist, beside [Obs]'s engine cell: obs and abi sit
+    below this library and cannot name {!t}. *)
 module Ambient : sig
   val current : t option ref
 end
@@ -125,11 +138,15 @@ val next_timer_at : t -> int
     {!next_timer} this never allocates — {!may_continue} reads it on
     every inline CPU charge and trap. *)
 
+val runnable : Proc.t -> bool
+(** The liveness re-check every resumption from the run queue makes:
+    the process may have been killed while it waited there. *)
+
 val may_continue : t -> Proc.t -> at:int -> bool
 (** The one guard under which the running fibre of a process carries
     on without handing control to the scheduler, used by both the
     inline CPU charge and inline trap completion ({!Uspace}): the
-    process is still [Runnable], no signal is pending for it, the run
+    process is still {!runnable}, no signal is pending for it, the run
     queue is empty, and no timer is due at or before [at].  When it
     holds, a round trip through the scheduler would pop this fibre
     straight back having changed nothing.  A process killed while its
@@ -138,6 +155,22 @@ val may_continue : t -> Proc.t -> at:int -> bool
     fibre at its next trap or charge. *)
 
 val pop_timer : t -> unit
+
+(* --- running fibres --- *)
+
+val discard : ('a, unit) Effect.Deep.continuation -> unit
+(** Discontinue a fibre with [Events.Process_killed], swallowing
+    whatever it raises on the way out. *)
+
+val run_as : t -> Proc.t -> ('a -> 'b -> unit) -> 'a -> 'b -> bool
+(** [run_as t p go a b] runs [go a b] with [p] as {!field-running}
+    when [p] is still {!runnable}, and says whether it did.  Every
+    fibre of the shard runs under it, from its start to its first
+    effect and from each resumption to the next. *)
+
+val resume : t -> Proc.t -> ('a, unit) Effect.Deep.continuation -> 'a -> unit
+(** Continue [p]'s fibre with a value under {!run_as}, or {!discard}
+    it when [p] is no longer runnable. *)
 
 (* --- open files and descriptors --- *)
 
@@ -195,6 +228,11 @@ val collect_deliverable : t -> Proc.t -> int list
 
 val wake_parked_with : t -> Proc.t -> Proc.park -> Events.trap_reply -> unit
 (** Resume a parked process with an explicit reply (used by timers). *)
+
+val terminate_fiber :
+  t -> Proc.t -> ('a, unit) Effect.Deep.continuation -> int -> unit
+(** {!do_exit} with the given wait-status, then {!discard} the
+    process's fibre. *)
 
 val do_exit : t -> Proc.t -> int -> unit
 (** Terminate with the given wait-status: close descriptors, zombify,

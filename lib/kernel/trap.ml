@@ -2,22 +2,8 @@ open Abi
 
 (* --- fibre plumbing ------------------------------------------------------ *)
 
-let discard k =
-  try Effect.Deep.discontinue k Events.Process_killed
-  with Events.Process_killed -> () | _ -> ()
-
-(* Resume a continuation with liveness re-checked at run time: the
-   process may have been killed while its resumption sat in the run
-   queue. *)
 let enqueue_resume (t : Kstate.t) (proc : Proc.t) k v =
-  Kstate.enqueue t (fun () ->
-    match proc.state with
-    | Proc.Runnable ->
-      Proc.Cur.set (Some proc);
-      Effect.Deep.continue k v;
-      Proc.Cur.set None
-    | Proc.Zombie | Proc.Reaped -> discard k
-    | Proc.Parked _ | Proc.Stopped _ -> discard k)
+  Kstate.enqueue t (fun () -> Kstate.resume t proc k v)
 
 (* Terminal (default-action) signals left pending by
    collect_deliverable: decide the process's fate at a trap boundary.
@@ -70,8 +56,7 @@ let finish_reply (t : Kstate.t) (proc : Proc.t) k (reply : Events.trap_reply) =
   match pending_terminal proc with
   | `Kill (s, status) ->
     proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
-    Kstate.do_exit t proc status;
-    discard k
+    Kstate.terminate_fiber t proc k status
   | `Stop s ->
     proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
     proc.state <- Proc.Stopped { sk = k; reply };
@@ -164,7 +149,7 @@ let settle (t : Kstate.t) (proc : Proc.t) (env : Envelope.t)
          (fun key -> Kstate.sleep_on t key proc.pid)
          (keys_of_cond cond))
   | Kstate.Exited -> ()  (* _exit never returns: abandon the fibre *)
-  | Kstate.Killed -> discard k
+  | Kstate.Killed -> Kstate.discard k
   | Kstate.Exec spec -> start_exec t proc spec
 
 (* A parked process re-attempts its call from the run queue: the same
@@ -174,11 +159,9 @@ let retry (t : Kstate.t) (proc : Proc.t) =
   | Proc.Parked park ->
     proc.state <- Proc.Runnable;
     Kstate.enqueue t (fun () ->
-      match proc.state with
-      | Proc.Runnable ->
+      if Kstate.runnable proc then
         let pre_mask = proc.sigs.mask in
         settle t proc park.env park.via ~pre_mask park.k
           (dispatch t proc park.env park.via ~first:false)
-      | Proc.Zombie | Proc.Reaped -> discard park.k
-      | Proc.Parked _ | Proc.Stopped _ -> ())
+      else Kstate.discard park.k)
   | Proc.Runnable | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> ()

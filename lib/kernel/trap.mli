@@ -14,8 +14,8 @@
 val dispatch :
   Kstate.t -> Proc.t -> Abi.Envelope.t -> Events.via -> first:bool
   -> Kstate.outcome
-(** Run the kernel half of a trap in no process's context ([Proc.Cur]
-    is [None]).  [first] charges the entry cost ([false] on a retry
+(** Run the kernel half of a trap in no process's context (the shard's
+    [running] is [None]).  [first] charges the entry cost ([false] on a retry
     after a park, which paid it already).  A fatal signal pending at
     entry ends the process here and yields [Kstate.Killed]; a decode
     failure yields [Done (Error _)]. *)
@@ -47,12 +47,8 @@ val pending_terminal :
 
 val enqueue_resume :
   Kstate.t -> Proc.t -> ('a, unit) Effect.Deep.continuation -> 'a -> unit
-(** Queue the resumption of a fibre, re-checking at run time that the
-    process is still runnable (it is discontinued otherwise). *)
-
-val discard : ('a, unit) Effect.Deep.continuation -> unit
-(** Discontinue a fibre with [Events.Process_killed], swallowing
-    whatever it raises on the way out. *)
+(** Queue {!Kstate.resume} of a fibre: liveness is re-checked when it
+    runs. *)
 
 val start_exec : Kstate.t -> Proc.t -> Events.exec_spec -> unit
 (** Replace the process's program text with a fresh fibre, abandoning

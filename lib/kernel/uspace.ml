@@ -1,6 +1,9 @@
 open Abi
 
-let self () = Proc.Cur.get_exn ()
+let self () =
+  match !Kstate.Ambient.current with
+  | Some { Kstate.running = Some p; _ } -> p
+  | Some _ | None -> failwith "no current process (called outside a simulation?)"
 
 (* One definition of signal dispatch, shared by the trap exit path here
    and by the toolkit's [Downlink.down_signal] chain. *)
@@ -65,13 +68,13 @@ let kernel_call (proc : Proc.t) (env : Envelope.t) (via : Events.via) =
   | None -> invalid_arg "Uspace: system call outside a kernel shard"
   | Some t ->
     let fr = Obs.layer_enter ~span:(Envelope.span env) "kernel" in
-    let cur = Proc.Cur.get () in
+    let running = t.running in
     let pre_mask = proc.sigs.mask in
-    Proc.Cur.set None;
+    t.running <- None;
     match Trap.dispatch t proc env via ~first:true with
     | Kstate.Done res
       when Kstate.may_continue t proc ~at:(Sim.Clock.now_us t.Kstate.clock) ->
-      Proc.Cur.set cur;
+      t.running <- running;
       leave fr;
       res
     | outcome ->

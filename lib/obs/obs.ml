@@ -31,8 +31,11 @@
    moral equivalent of a CPU's current-task register) so that code deep
    in the trap path — envelope codecs, agents, uspace — reaches the
    right engine without threading a handle through every signature.
-   A default engine is installed at program start for engine-only use
-   (tests drive spans with no kernel at all).
+   The engine also carries the shard's codec and record-pool counters
+   ([counters], bumped by [Abi.Envelope]): abi sits above obs, so this
+   cell is the one it can reach.  A default engine is installed at
+   program start for engine-only use (tests drive spans with no kernel
+   at all).
 
    Observation charges no *virtual* time: enabling tracing must not
    move any published µs number. *)
@@ -120,6 +123,21 @@ type pipe_chan = {
 
 let default_ring_capacity = 4096
 
+type counters = {
+  mutable c_traps : int;
+  mutable c_chained : int;
+  mutable c_fast_path : int;
+  mutable c_decodes : int;
+  mutable c_encodes : int;
+  mutable c_crossings : int;
+  mutable c_agent_calls : int;
+  mutable c_suspends : int;
+  mutable c_pool_hits : int;
+  mutable c_pool_misses : int;
+  mutable c_pool_recycled : int;
+  mutable c_pool_dropped : int;
+}
+
 type engine = {
   mutable e_on : bool;
   mutable e_clock_fn : unit -> int;
@@ -163,6 +181,8 @@ type engine = {
       (* (dst pid, signal) -> (src shard, src span, src pid) fifo *)
   e_pipes : (string * int, pipe_chan) Hashtbl.t;
       (* ("pipe"|"fifo", id) -> watermarks *)
+  e_counters : counters;
+      (* never cleared by [reset]: snapshot diffs span obs resets *)
 }
 
 let engine ?(ring_capacity = default_ring_capacity) () =
@@ -192,14 +212,20 @@ let engine ?(ring_capacity = default_ring_capacity) () =
     e_pending_fork = Hashtbl.create 16;
     e_pending_sig = Hashtbl.create 16;
     e_pipes = Hashtbl.create 16;
+    e_counters =
+      { c_traps = 0; c_chained = 0; c_fast_path = 0; c_decodes = 0;
+        c_encodes = 0; c_crossings = 0; c_agent_calls = 0; c_suspends = 0;
+        c_pool_hits = 0; c_pool_misses = 0; c_pool_recycled = 0;
+        c_pool_dropped = 0 };
   }
 
 (* A fresh engine carrying the *configuration* of [src] — on/off
    switch, sampling rate and seed (decision stream restarted), ring
-   capacity — but none of its data.  [Kernel.create] builds each
-   shard's engine this way from the currently installed one, so the
-   established "configure observation, then create the kernel" call
-   order keeps working across the per-shard ownership change. *)
+   capacity — but none of its data, counters included.
+   [Kernel.create] builds each shard's engine this way from the
+   currently installed one, so the established "configure observation,
+   then create the kernel" call order keeps working across the
+   per-shard ownership change. *)
 let engine_like src =
   let e = engine ~ring_capacity:src.e_ring_capacity () in
   e.e_on <- src.e_on;
@@ -223,6 +249,9 @@ let with_engine e f =
   Fun.protect ~finally:(fun () -> cur := prev) f
 
 (* ---------- switches and environment hooks ---------- *)
+
+let counters_of e = e.e_counters
+let counters () = !cur.e_counters
 
 let set_clock f = !cur.e_clock_fn <- f
 let set_context f = !cur.e_context_fn <- f

@@ -40,15 +40,41 @@ module Watch = Watch
 (** {1 Engines}
 
     All engine state — the on/off switch, clock and context hooks,
-    sampler, span tables, ring, aggregations — lives in an {!engine}
-    value.  Each kernel shard owns one (DESIGN.md §3.6); entering a
-    shard {!install}s its engine so the unit-argument API below, called
-    from code deep in the trap path, reaches the right engine without
-    threading a handle through every signature.  A default engine is
-    installed at program start, so engine-only use (driving spans with
-    no kernel) keeps working unchanged. *)
+    sampler, span tables, ring, aggregations, and the shard's codec and
+    record-pool {!counters} — lives in an {!engine} value.  Each kernel
+    shard owns one (DESIGN.md §3.6); entering a shard {!install}s its
+    engine so the unit-argument API below, called from code deep in the
+    trap path, reaches the right engine without threading a handle
+    through every signature.  A default engine is installed at program
+    start, so engine-only use (driving spans with no kernel) keeps
+    working unchanged. *)
 
 type engine
+
+(** The live codec and envelope-record-pool counters of one shard,
+    carried by its engine so that [Abi.Envelope] (which sits above
+    this library and below the kernel) reaches them through the one
+    installed-engine cell.  [Abi.Envelope.Stats] is the API over them;
+    nothing else should write the fields. *)
+type counters = {
+  mutable c_traps : int;
+  mutable c_chained : int;
+  mutable c_fast_path : int;
+  mutable c_decodes : int;
+  mutable c_encodes : int;
+  mutable c_crossings : int;
+  mutable c_agent_calls : int;
+  mutable c_suspends : int;
+  mutable c_pool_hits : int;
+  mutable c_pool_misses : int;
+  mutable c_pool_recycled : int;
+  mutable c_pool_dropped : int;
+}
+
+val counters_of : engine -> counters
+
+val counters : unit -> counters
+(** The installed engine's counters. *)
 
 val engine : ?ring_capacity:int -> unit -> engine
 (** A fresh, disabled engine with empty tables (ring capacity defaults
@@ -57,7 +83,8 @@ val engine : ?ring_capacity:int -> unit -> engine
 val engine_like : engine -> engine
 (** A fresh engine inheriting [src]'s {e configuration} — enabled
     switch, sampling rate and seed (decision stream restarted), ring
-    capacity — but none of its data.  [Kernel.create] builds each
+    capacity — but none of its data: its {!counters} start at zero.
+    [Kernel.create] builds each
     shard's engine this way from the installed one, which is what keeps
     the established "configure observation, then create the kernel"
     call order working now that engines are per-shard. *)
@@ -85,7 +112,7 @@ val set_clock : (unit -> int) -> unit
 
 val set_context : (unit -> int) -> unit
 (** Source of the currently-running simulated pid (0 when none);
-    [Kernel.create] installs [Proc.Cur]-based lookup. *)
+    [Kernel.create] installs a read of its shard's running process. *)
 
 val now_us : unit -> int
 val current_pid : unit -> int
@@ -106,7 +133,8 @@ val sampling : unit -> int
 val reset : unit -> unit
 (** Clear all state: open spans, aggregations, the ring.  The sampling
     rate and seed persist but the decision stream restarts, so a reset
-    window replays the same choices.  Call between independent
+    window replays the same choices.  The {!counters} are left alone:
+    codec snapshot diffs may span a reset.  Call between independent
     measurement windows (the enable/reset pairing replaces the old
     global [Kernel.reset_codec_stats] hygiene problem — see
     [envelope.mli]). *)

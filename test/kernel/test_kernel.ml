@@ -568,7 +568,7 @@ let test_killed_fibre_discarded_at_next_trap () =
            (try ignore (read r (Bytes.create 1) 1)
             with Kernel.Events.Process_killed ->
               caught := true;
-              Kernel.Proc.Cur.set (Some me));
+              (Kernel.current_exn ()).Kernel.Kstate.running <- Some me);
            ignore (getppid ());
            after := true;
            0))
@@ -584,6 +584,34 @@ let test_killed_fibre_discarded_at_next_trap () =
   Alcotest.(check int) "child reaped as killed" 0 (exit_code status);
   Alcotest.(check bool) "child caught the kill" true !caught;
   Alcotest.(check bool) "code after the trap not run" false !after
+
+(* The [host] block divides by traps, so its baselines must be taken
+   when the shard's first process starts: host-side set-up before boot
+   (here: file writes allocating at least 1 M minor words) is not trap
+   work.  A 2000-trap getpid session costs tens of words per trap. *)
+let test_host_stats_exclude_setup () =
+  let k = Kernel.create () in
+  Kernel.populate_standard k;
+  let w0 = Gc.minor_words () in
+  let i = ref 0 in
+  while Gc.minor_words () -. w0 < 1_000_000. do
+    Kernel.write_file k ~path:(Printf.sprintf "/tmp/setup%d" (!i mod 64))
+      (String.make 64 'x');
+    incr i
+  done;
+  let status =
+    Kernel.boot k ~name:"getpid" (fun () ->
+      for _ = 1 to 2000 do
+        ignore (Libc.Unistd.getpid ())
+      done;
+      0)
+  in
+  Alcotest.(check int) "session exit" 0 (exit_code status);
+  let h = Kernel.host_stats k in
+  Alcotest.(check bool) "at least 2000 traps" true (h.Kernel.h_traps >= 2000);
+  if h.Kernel.h_minor_words_per_trap >= 200. then
+    Alcotest.failf "%.1f minor words/trap: set-up counted as trap work"
+      h.Kernel.h_minor_words_per_trap
 
 let () =
   Alcotest.run "kernel"
@@ -631,7 +659,9 @@ let () =
       "misc",
       [ Alcotest.test_case "gettimeofday" `Quick test_gettimeofday_monotonic;
         Alcotest.test_case "deadlock" `Quick test_deadlock_detected;
-        Alcotest.test_case "isatty" `Quick test_isatty ];
+        Alcotest.test_case "isatty" `Quick test_isatty;
+        Alcotest.test_case "host stats exclude pre-boot set-up" `Quick
+          test_host_stats_exclude_setup ];
       "trap completion",
       [ Alcotest.test_case "inline iff the guards hold" `Quick
           test_inline_iff_guards;

@@ -211,6 +211,27 @@ let test_installed_sets () =
   Alcotest.(check bool)
     "installed set carries the current shard's record-pool counters" true
     (Kernel.env_pool_stats k = pool_amb);
+  (* the counters ride the obs engine but are not obs state: an obs
+     reset between measurement phases must leave them alone *)
+  Obs.reset ();
+  Alcotest.(check bool)
+    "Obs.reset leaves the codec counters" true
+    (Kernel.codec_stats k = codec_amb);
+  Alcotest.(check bool)
+    "Obs.reset leaves the record-pool counters" true
+    (Kernel.env_pool_stats k = pool_amb);
+  (* a kernel created while k's engine is installed inherits its obs
+     configuration, never its counts *)
+  let fresh = Kernel.with_shard k (fun () -> Kernel.create ()) in
+  Alcotest.(check bool)
+    "a kernel created under another shard starts at zero codec counters"
+    true
+    (Kernel.codec_stats fresh
+     = Envelope.Stats.diff codec_amb codec_amb);
+  Alcotest.(check bool)
+    "... and at zero record-pool counters" true
+    (Kernel.env_pool_stats fresh
+     = Envelope.Stats.pool_diff pool_amb pool_amb);
   Envelope.Stats.(reset_of (installed ()));
   Alcotest.(check int)
     "reset_of (installed ()) zeroes the current shard" 0
@@ -218,6 +239,71 @@ let test_installed_sets () =
   Alcotest.(check int)
     "... and its record-pool counters" 0
     (Kernel.env_pool_stats k).Envelope.Stats.hits
+
+(* --- an exception leaves the previous shard entered ---------------------- *)
+
+exception Boom
+
+let test_with_shard_exception_restores () =
+  let a = Tharness.fresh_kernel () in
+  let b = Tharness.fresh_kernel () in
+  let status =
+    Tharness.boot_k b (fun () ->
+      ignore (Libc.Unistd.getpid ());
+      let me = Kernel.Uspace.self () in
+      (match Kernel.with_shard a (fun () -> raise Boom) with
+       | () -> Alcotest.fail "with_shard swallowed the exception"
+       | exception Boom -> ());
+      Alcotest.(check bool)
+        "b is current again" true (Kernel.current_exn () == b);
+      Alcotest.(check bool)
+        "b's engine is installed again" true
+        (Obs.installed () == Kernel.obs_engine b);
+      let codec = Envelope.Stats.(snapshot_of (installed ())) in
+      Alcotest.(check bool)
+        "b's counter set is installed again" true
+        (codec = Kernel.codec_stats b
+         && codec.Envelope.Stats.traps > 0
+         && (Kernel.codec_stats a).Envelope.Stats.traps = 0);
+      Alcotest.(check bool)
+        "b's running process is running again" true
+        (Kernel.Uspace.self () == me);
+      0)
+  in
+  Tharness.check_exit "b session" 0 status
+
+(* A kernel exception (here: the in-kernel trace hook raising) escapes
+   [Cluster.run] from inside a shard's step; the shard that was current
+   before the run must be current afterwards, with no cluster left
+   reachable through it. *)
+let test_cluster_run_exception_restores () =
+  let k0 = Tharness.fresh_kernel () in
+  let c = Kernel.Cluster.create ~shards:2 () in
+  for i = 0 to 1 do
+    let s = Kernel.Cluster.shard c i in
+    Kernel.populate_standard s;
+    ignore
+      (Kernel.Cluster.boot_shard c i ~name:"boom" (traffic (Printf.sprintf "x%d" i) 3))
+  done;
+  Kernel.set_trace_hook (Kernel.Cluster.shard c 1)
+    (Some (fun _ _ _ -> raise Boom));
+  Kernel.enter k0;
+  (match Kernel.Cluster.run c with
+   | () -> Alcotest.fail "the kernel exception did not escape Cluster.run"
+   | exception Boom -> ());
+  Alcotest.(check bool)
+    "the pre-run shard is current" true (Kernel.current_exn () == k0);
+  Alcotest.(check bool)
+    "the pre-run shard's engine is installed" true
+    (Obs.installed () == Kernel.obs_engine k0);
+  Alcotest.(check bool)
+    "the pre-run shard's counter set is installed" true
+    (Envelope.Stats.(snapshot_of (installed ())) = Kernel.codec_stats k0);
+  Alcotest.(check bool)
+    "Cluster.send raises after the run" true
+    (match Kernel.Cluster.send ~dst:0 ~pid:1 ~signal:Signal.sigusr1 with
+     | () -> false
+     | exception Invalid_argument _ -> true)
 
 (* --- cluster-wide metrics: exact counters sum, histograms merge ---------- *)
 
@@ -438,7 +524,11 @@ let () =
           Alcotest.test_case "with_shard multiplexes two kernels" `Quick
             test_with_shard_coexist;
           Alcotest.test_case "installed counter sets read the current shard"
-            `Quick test_installed_sets ] );
+            `Quick test_installed_sets;
+          Alcotest.test_case "with_shard restores the shard on an exception"
+            `Quick test_with_shard_exception_restores;
+          Alcotest.test_case "Cluster.run restores the shard on an exception"
+            `Quick test_cluster_run_exception_restores ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same bytes at 1 shard" `Quick
             test_determinism_one_shard;
